@@ -29,11 +29,9 @@ from .gamma_calculus import cd_margin
 from .model_space import ModelSpace, build_space, integrate
 from .reporting import (ensure_dir, write_csv, write_field_csv, write_json,
                         write_svg)
-from .sobolev import (critical_exponent, extremal_field, sharp_constants,
-                      sobolev_deficit)
-from .variational import (a_star, gamma2_identity_terms,
-                          pressure_transform, rigidity_scan,
-                          subcritical_params)
+from .sobolev import (a_star, critical_exponent, extremal_field,
+                      sharp_constants, sobolev_deficit)
+from .variational import critical_limit_sweep, rigidity_scan
 
 CHECK_NAMES = [
     "sharp_constants",
@@ -67,6 +65,55 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
+# artifact writers shared with the CLI
+# ---------------------------------------------------------------------------
+
+def write_rigidity_csv(path: str, entries) -> None:
+    """One row per RigidityEntry of a scan."""
+    write_csv(path, ["A", "A_over_Astar", "q", "d_prime", "i_value",
+                     "constancy", "el_residual", "identity_residual", "term1",
+                     "term2", "term3", "converged"],
+              [(e.report.A, e.A_over_a_star, e.report.q, e.report.d_prime,
+                e.report.i_value, e.report.constancy,
+                e.report.el_residual_norm, e.identity_residual, e.term_cd,
+                e.term_gap, e.term_f, e.report.converged) for e in entries])
+
+
+def write_critical_limit_csv(path: str, table) -> None:
+    """One row per entry of a ``critical_limit_sweep`` table."""
+    write_csv(path, ["q", "d_prime", "a_star", "i_value_at_a_star",
+                     "constancy", "converged"],
+              [(r["q"], r["d_prime"], r["a_star"], r["i_value"],
+                r["constancy"], r["converged"]) for r in table])
+
+
+def write_flow_csv(path: str, trace) -> None:
+    """The time series of a fast-diffusion FlowTrace."""
+    write_csv(path, ["t", "entropy", "grad_norm_sq", "companion_entropy",
+                     "dissipation_residual", "sup_dist", "mass"],
+              zip(trace.times, trace.entropy, trace.grad_norm_sq,
+                  trace.companion, trace.dissipation_residual,
+                  trace.sup_distance, trace.mass))
+
+
+def write_manifest(out_dir: str, config: dict, checks, timing: dict) -> dict:
+    """Write the wall-clock sidecar, then the manifest; return the manifest.
+
+    Timings stay out of the manifest so that it is byte-reproducible.
+    """
+    manifest = {
+        "tool_version": __version__,
+        "config": config,
+        "checks": [c.to_json_dict() for c in checks],
+        "status": "pass" if all(c.passed for c in checks) else "fail",
+        "timing_file": "timing.json",
+    }
+    write_json(os.path.join(out_dir, "timing.json"), timing)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    return manifest
+
+
+# ---------------------------------------------------------------------------
 # corpora
 # ---------------------------------------------------------------------------
 
@@ -88,8 +135,9 @@ def trig_poly_field(space: ModelSpace, rng: np.random.Generator,
     return space.field(1.0 + amplitude * p)
 
 
-def _deficit_corpus(spaces, count, seed):
-    """Per-sample Sobolev deficits at the critical exponent, cycling spaces."""
+def _deficit_corpus(spaces, count, seed, path=None):
+    """Per-sample Sobolev deficits at the critical exponent, cycling spaces;
+    written to ``path`` as CSV when one is given."""
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(count):
@@ -98,6 +146,9 @@ def _deficit_corpus(spaces, count, seed):
         rep = sobolev_deficit(space, v, critical_exponent(space.n))
         rows.append((i, space.kind, space.d, space.n, rep.deficit, rep.rhs,
                      rep.deficit / (1.0 + rep.rhs)))
+    if path:
+        write_csv(path, ["index", "kind", "d", "n", "deficit", "rhs",
+                         "deficit_over_scale"], rows)
     return rows
 
 
@@ -124,12 +175,9 @@ def check_deficit_positivity_sphere(out_dir=None, seed=0,
                                     resolution=1024) -> CheckResult:
     spaces = [build_space("sphere_radial", d, float(d), resolution)
               for d in (3, 4, 5)]
-    rows = _deficit_corpus(spaces, 100, seed)
+    rows = _deficit_corpus(spaces, 100, seed, out_dir and os.path.join(
+        out_dir, "deficit_sphere.csv"))
     worst = min(r[6] for r in rows)
-    if out_dir:
-        write_csv(os.path.join(out_dir, "deficit_sphere.csv"),
-                  ["index", "kind", "d", "n", "deficit", "rhs",
-                   "deficit_over_scale"], rows)
     return CheckResult("deficit_positivity_sphere", worst >= -1e-6,
                        worst, -1e-6,
                        "min deficit/(1+rhs) over 100 positive trig-polynomial "
@@ -139,12 +187,9 @@ def check_deficit_positivity_sphere(out_dir=None, seed=0,
 def check_deficit_positivity_jacobi(out_dir=None, seed=0,
                                     resolution=1024) -> CheckResult:
     spaces = [build_space("jacobi", 2, n, resolution) for n in (3.5, 4.5, 6.0)]
-    rows = _deficit_corpus(spaces, 100, seed + 1)
+    rows = _deficit_corpus(spaces, 100, seed + 1, out_dir and os.path.join(
+        out_dir, "deficit_jacobi.csv"))
     worst = min(r[6] for r in rows)
-    if out_dir:
-        write_csv(os.path.join(out_dir, "deficit_jacobi.csv"),
-                  ["index", "kind", "d", "n", "deficit", "rhs",
-                   "deficit_over_scale"], rows)
     return CheckResult("deficit_positivity_jacobi", worst >= -1e-6,
                        worst, -1e-6,
                        "min deficit/(1+rhs) over 100 positive trig-polynomial "
@@ -214,12 +259,11 @@ def check_cd_equality_witness(out_dir=None) -> CheckResult:
                        f"ratio {worst_ratio:.3f} (need >= 3)")
 
 
-def _rigidity_scan_shared(resolution=2048, seed=0):
+def _rigidity_scan_shared(resolution=2048):
     """The 11-point scan shared by the rigidity and identity checks."""
     space = build_space("sphere_radial", 3, 3.0, resolution)
     q = 5.0
-    d_prime = 2.0 * q / (q - 2.0)
-    astar = a_star(d_prime, space.rho)
+    astar = a_star(2.0 * q / (q - 2.0), space.rho)
     a_values = [0.05] + list(np.linspace(astar, 2.0 * astar, 10))
     entries = rigidity_scan(space, q, a_values)
     return space, q, astar, entries
@@ -227,23 +271,16 @@ def _rigidity_scan_shared(resolution=2048, seed=0):
 
 def check_rigidity_threshold(scan=None, out_dir=None) -> CheckResult:
     space, q, astar, entries = scan or _rigidity_scan_shared()
-    rows = []
     const_above, ival_above, const_below = 0.0, 0.0, np.inf
     for e in entries:
         r = e.report
-        rows.append((r.A, e.A_over_a_star, r.q, r.d_prime, r.i_value,
-                     r.constancy, r.el_residual_norm, e.identity_residual,
-                     e.term_cd, e.term_gap, e.term_f, r.converged))
         if r.A >= astar - 1e-12:
             const_above = max(const_above, r.constancy)
             ival_above = max(ival_above, abs(r.i_value - 1.0))
         else:
             const_below = min(const_below, r.constancy)
     if out_dir:
-        write_csv(os.path.join(out_dir, "rigidity_scan.csv"),
-                  ["A", "A_over_Astar", "q", "d_prime", "i_value", "constancy",
-                   "el_residual", "identity_residual", "term1", "term2",
-                   "term3", "converged"], rows)
+        write_rigidity_csv(os.path.join(out_dir, "rigidity_scan.csv"), entries)
         above = [e for e in entries if e.report.A >= astar - 1e-12]
         write_svg(os.path.join(out_dir, "rigidity_scan.svg"),
                   [("term_cd", [e.A_over_a_star for e in above],
@@ -264,23 +301,14 @@ def check_rigidity_threshold(scan=None, out_dir=None) -> CheckResult:
 
 
 def check_integral_identity(scan=None, out_dir=None) -> CheckResult:
-    space, q, astar, entries = scan or _rigidity_scan_shared()
-    rows = []
-    worst = 0.0
-    for e in entries:
-        r = e.report
-        _, _, c = subcritical_params(r.A, q)
-        v = r.i_value ** (1.0 / (q - 2.0)) * r.minimizer.values
-        phi = pressure_transform(space.field(v), q)
-        t_g2, t_lap, t_gam = gamma2_identity_terms(space, phi, r.d_prime, c)
-        scale = max(abs(t_g2), abs(t_lap), abs(t_gam), 1.0)
-        rel = abs(t_g2 - t_lap - t_gam) / scale
-        worst = max(worst, rel)
-        rows.append((r.A, t_g2, t_lap, t_gam, scale, rel))
+    _, _, _, entries = scan or _rigidity_scan_shared()
+    worst = max(e.identity_rel for e in entries)
     if out_dir:
         write_csv(os.path.join(out_dir, "integral_identity.csv"),
                   ["A", "term_gamma2", "term_laplacian", "term_gamma",
-                   "scale", "relative_residual"], rows)
+                   "scale", "relative_residual"],
+                  [(e.report.A, *e.identity_terms, e.identity_scale,
+                    e.identity_rel) for e in entries])
     return CheckResult("integral_identity", worst <= 1e-3, worst, 1e-3,
                        "max scale-relative residual of the weighted "
                        "Gamma_2 integral identity over all converged scan "
@@ -354,12 +382,7 @@ def check_fast_diffusion_flow(out_dir=None, resolution=256) -> CheckResult:
     final_ent_err = abs(float(ent[-1]) + 4.5)
 
     if out_dir:
-        write_csv(os.path.join(out_dir, "fast_diffusion.csv"),
-                  ["t", "entropy", "grad_norm_sq", "companion_entropy",
-                   "dissipation_residual", "sup_dist", "mass"],
-                  zip(trace.times, trace.entropy, trace.grad_norm_sq,
-                      trace.companion, trace.dissipation_residual,
-                      trace.sup_distance, trace.mass))
+        write_flow_csv(os.path.join(out_dir, "fast_diffusion.csv"), trace)
         summary = trace.summary()
         summary.update({"alpha": alpha, "beta": 2.0 * alpha - 1.0,
                         "n": space.n, "rho": space.rho, "converged": True,
@@ -453,7 +476,6 @@ def check_entropy_sobolev_equivalence(out_dir=None, seed=0,
 
 
 def check_critical_limit(out_dir=None, resolution=1024) -> CheckResult:
-    from .cli import critical_limit_sweep
     space = build_space("sphere_radial", 3, 3.0, resolution)
     table, extrapolated, _ = critical_limit_sweep(
         space, [5.0, 5.5, 5.8, 5.95])
@@ -461,11 +483,8 @@ def check_critical_limit(out_dir=None, resolution=1024) -> CheckResult:
     monotone = all(b > a for a, b in zip(astars, astars[1:]))
     limit_err = abs(extrapolated - 4.0 / 3.0)
     if out_dir:
-        write_csv(os.path.join(out_dir, "critical_limit.csv"),
-                  ["q", "d_prime", "a_star", "i_value_at_a_star", "constancy",
-                   "converged"],
-                  [(r["q"], r["d_prime"], r["a_star"], r["i_value"],
-                    r["constancy"], r["converged"]) for r in table])
+        write_critical_limit_csv(os.path.join(out_dir, "critical_limit.csv"),
+                                 table)
         write_json(os.path.join(out_dir, "critical_limit.json"),
                    {"extrapolated_a_star": extrapolated,
                     "limit_value": 4.0 / 3.0, "error": limit_err,
@@ -512,22 +531,15 @@ def _mini_bundle(out_dir: str, seed: int) -> None:
     """Small but representative artifact pass used by the determinism check."""
     check_sharp_constants(out_dir)
     space = build_space("sphere_radial", 3, 3.0, 128)
-    rows = _deficit_corpus([space], 10, seed)
-    write_csv(os.path.join(out_dir, "deficit_sphere.csv"),
-              ["index", "kind", "d", "n", "deficit", "rhs",
-               "deficit_over_scale"], rows)
+    _deficit_corpus([space], 10, seed, os.path.join(out_dir,
+                                                     "deficit_sphere.csv"))
     scan = (space, 5.0, a_star(10.0 / 3.0, 2.0),
             rigidity_scan(space, 5.0, [0.05, 1.05, 2.0]))
     check_rigidity_threshold(scan, out_dir)
     raw = 1.0 + 0.5 * np.cos(space.grid)
     mu0 = space.field(raw / integrate(space, space.field(raw)))
     trace = fast_diffusion_flow(space, mu0, 2.0 / 3.0, T=0.5)
-    write_csv(os.path.join(out_dir, "fast_diffusion.csv"),
-              ["t", "entropy", "grad_norm_sq", "companion_entropy",
-               "dissipation_residual", "sup_dist", "mass"],
-              zip(trace.times, trace.entropy, trace.grad_norm_sq,
-                  trace.companion, trace.dissipation_residual,
-                  trace.sup_distance, trace.mass))
+    write_flow_csv(os.path.join(out_dir, "fast_diffusion.csv"), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +569,9 @@ def run_full_suite(out_dir: str, seed: int = 0) -> dict:
     run(check_extremal_saturation, out_dir)
     run(check_cd_equality_witness, out_dir)
     run(check_deficit_positivity_jacobi, out_dir, seed)
-    scan = _rigidity_scan_shared(seed=seed)
+    t0 = time.perf_counter()
+    scan = _rigidity_scan_shared()
+    timings["rigidity_scan_shared"] = time.perf_counter() - t0
     run(check_rigidity_threshold, scan, out_dir)
     run(check_integral_identity, scan, out_dir)
     run(check_finite_dim_decay, out_dir, seed)
@@ -567,17 +581,7 @@ def run_full_suite(out_dir: str, seed: int = 0) -> dict:
     run(check_critical_limit, out_dir)
     run(check_determinism, out_dir, seed)
 
-    status = all(c.passed for c in checks)
-    manifest = {
-        "tool_version": __version__,
-        "config": {"command": "full-suite", "seed": seed,
-                   "output_dir": out_dir},
-        "checks": [c.to_json_dict() for c in checks],
-        "status": "pass" if status else "fail",
-        "timing_file": "timing.json",
-    }
-    write_json(os.path.join(out_dir, "timing.json"),
-               {"wall_clock_seconds": timings,
-                "total_seconds": sum(timings.values())})
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    return manifest
+    return write_manifest(
+        out_dir, {"command": "full-suite", "seed": seed, "output_dir": out_dir},
+        checks, {"wall_clock_seconds": timings,
+                 "total_seconds": sum(timings.values())})

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import __version__, acceptance
+from . import acceptance
 from .errors import (InvalidAlpha, InvalidConfig, InvalidExponent,
                      InvalidParameter, NonPositiveField,
                      NotAProbabilityDensity, SpaceMismatch, UnsupportedKind)
@@ -26,10 +26,10 @@ from .gamma_calculus import bochner_residual, cauchy_schwarz_margin, cd_margin
 from .model_space import ModelSpace, build_space
 from .reporting import (ensure_dir, write_csv, write_field_csv, write_json,
                         write_svg)
-from .sobolev import critical_exponent, extremal_field, lq_norm, sobolev_deficit
-from .variational import (MinimizeOptions, a_star, gamma2_identity_terms,
-                          minimize_subcritical, pressure_transform,
-                          rigidity_scan, subcritical_params)
+from .sobolev import (a_star, critical_exponent, extremal_field, lq_norm,
+                      sobolev_deficit)
+from .variational import (MinimizeOptions, critical_limit_sweep,
+                          minimize_subcritical, rigidity_scan)
 
 CONFIG_ERRORS = (InvalidConfig, InvalidExponent, InvalidParameter,
                  UnsupportedKind, InvalidAlpha, SpaceMismatch,
@@ -46,6 +46,20 @@ def _check_keys(block: dict, allowed: set, context: str) -> None:
             f"allowed: {sorted(allowed)}")
 
 
+def _init_and_options(cfg: dict, space: ModelSpace):
+    """The cosine-bump start profile and the descent options of a config."""
+    init_spec = cfg.get("init", {"kind": "cosine_bump", "amplitude": 0.4})
+    _check_keys(init_spec, {"kind", "amplitude"}, "init")
+    if init_spec.get("kind", "cosine_bump") != "cosine_bump":
+        raise InvalidConfig(f"unknown init kind {init_spec['kind']!r}")
+    amp = float(init_spec.get("amplitude", 0.4))
+    init = space.field(1.0 + amp * np.cos(space.grid))
+    opts = MinimizeOptions(grad_tol=float(cfg.get("tol", 1e-9)),
+                           max_iter=int(cfg.get("max_iter", 50000)),
+                           raise_on_failure=False)
+    return init, opts
+
+
 def _space_from_config(cfg: dict, resolution_override=None,
                        default=None) -> ModelSpace:
     spec = dict(default or {"kind": "sphere_radial", "d": 3, "n": 3.0,
@@ -59,49 +73,6 @@ def _space_from_config(cfg: dict, resolution_override=None,
         spec["resolution"] = int(resolution_override)
     return build_space(spec["kind"], int(spec["d"]), float(spec["n"]),
                        int(spec["resolution"]))
-
-
-# ---------------------------------------------------------------------------
-# the critical-limit sweep
-# ---------------------------------------------------------------------------
-
-def critical_limit_sweep(space: ModelSpace, q_list,
-                         opts: MinimizeOptions | None = None):
-    """Track A*(d'(q)) as q increases toward the critical exponent.
-
-    For each strictly subcritical q the sharp threshold A*(d') is evaluated
-    and the minimization at A = A*(d') is run to confirm I(A) = 1 with a
-    constant minimizer.  With at least two entries the limit of A*(d'(q))
-    at the critical exponent is Richardson-extrapolated (linear in the
-    distance to the critical exponent, using the last two points).
-
-    Returns (table, extrapolated_value_or_None, warnings).
-    """
-    qc = critical_exponent(space.n)
-    q_list = [float(q) for q in q_list]
-    if sorted(q_list) != q_list:
-        raise InvalidConfig("q_list must be sorted ascending")
-    for q in q_list:
-        if not (2.0 < q < qc):
-            raise InvalidExponent(
-                f"q = {q} is not strictly subcritical (need 2 < q < {qc})")
-    init = space.field(1.0 + 0.4 * np.cos(space.grid))
-    table = []
-    for q in q_list:
-        d_prime = 2.0 * q / (q - 2.0)
-        astar = a_star(d_prime, space.rho)
-        rep = minimize_subcritical(space, astar, q, init, opts)
-        table.append({"q": q, "d_prime": d_prime, "a_star": astar,
-                      "i_value": rep.i_value, "constancy": rep.constancy,
-                      "converged": rep.converged})
-    warnings = []
-    if len(q_list) < 2:
-        warnings.append("single q entry: no extrapolation performed")
-        return table, None, warnings
-    e0, e1 = qc - q_list[-2], qc - q_list[-1]
-    a0, a1 = table[-2]["a_star"], table[-1]["a_star"]
-    extrapolated = (a1 * e0 - a0 * e1) / (e0 - e1)
-    return table, extrapolated, warnings
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +168,7 @@ def _cmd_sobolev_deficit(cfg, out, seed, resolution):
 
 
 def _cmd_extremal_sweep(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir"}, "extremal-sweep config")
+    _check_keys(cfg, {"seed", "output_dir"}, "extremal-sweep config")
     return [acceptance.check_extremal_saturation(out)]
 
 
@@ -207,15 +178,7 @@ def _cmd_minimize(cfg, out, seed, resolution):
     space = _space_from_config(cfg, resolution)
     A = float(cfg.get("A", 2.1))
     q = float(cfg.get("q", 5.0))
-    init_spec = cfg.get("init", {"kind": "cosine_bump", "amplitude": 0.4})
-    _check_keys(init_spec, {"kind", "amplitude"}, "init")
-    if init_spec.get("kind", "cosine_bump") != "cosine_bump":
-        raise InvalidConfig(f"unknown init kind {init_spec['kind']!r}")
-    amp = float(init_spec.get("amplitude", 0.4))
-    init = space.field(1.0 + amp * np.cos(space.grid))
-    opts = MinimizeOptions(grad_tol=float(cfg.get("tol", 1e-9)),
-                           max_iter=int(cfg.get("max_iter", 50000)),
-                           raise_on_failure=False)
+    init, opts = _init_and_options(cfg, space)
     rep = minimize_subcritical(space, A, q, init, opts)
     write_json(os.path.join(out, "minimizer.json"), rep.to_json_dict())
     write_field_csv(os.path.join(out, "minimizer.csv"), space,
@@ -252,33 +215,12 @@ def _cmd_rigidity_scan(cfg, out, seed, resolution):
                                     int(rng_spec["count"])))
     f_spec = cfg.get("f", {"kind": "constant"})
     _check_keys(f_spec, {"kind", "s"}, "f")
-    init_spec = cfg.get("init", {"kind": "cosine_bump", "amplitude": 0.4})
-    _check_keys(init_spec, {"kind", "amplitude"}, "init")
-    init = space.field(1.0 + float(init_spec.get("amplitude", 0.4))
-                       * np.cos(space.grid))
-    opts = MinimizeOptions(grad_tol=float(cfg.get("tol", 1e-9)),
-                           max_iter=int(cfg.get("max_iter", 50000)),
-                           raise_on_failure=False)
+    init, opts = _init_and_options(cfg, space)
     entries = rigidity_scan(space, q, a_values, f_spec, init, opts)
-    d_prime = 2.0 * q / (q - 2.0)
-    astar = a_star(d_prime, space.rho)
-    rows = []
-    worst_rel = 0.0
-    for e in entries:
-        r = e.report
-        rows.append((r.A, e.A_over_a_star, r.q, r.d_prime, r.i_value,
-                     r.constancy, r.el_residual_norm, e.identity_residual,
-                     e.term_cd, e.term_gap, e.term_f, r.converged))
-        _, _, c = subcritical_params(r.A, q)
-        v = r.i_value ** (1.0 / (q - 2.0)) * r.minimizer.values
-        phi = pressure_transform(space.field(v), q)
-        t_g2, t_lap, t_gam = gamma2_identity_terms(space, phi, d_prime, c)
-        scale = max(abs(t_g2), abs(t_lap), abs(t_gam), 1.0)
-        worst_rel = max(worst_rel, abs(t_g2 - t_lap - t_gam) / scale)
-    write_csv(os.path.join(out, "rigidity_scan.csv"),
-              ["A", "A_over_Astar", "q", "d_prime", "i_value", "constancy",
-               "el_residual", "identity_residual", "term1", "term2", "term3",
-               "converged"], rows)
+    astar = a_star(2.0 * q / (q - 2.0), space.rho)
+    worst_rel = max(e.identity_rel for e in entries)
+    acceptance.write_rigidity_csv(os.path.join(out, "rigidity_scan.csv"),
+                                  entries)
     write_svg(os.path.join(out, "rigidity_scan.svg"),
               [("constancy", [e.A_over_a_star for e in entries],
                 [min(e.report.constancy, 10.0) for e in entries])],
@@ -313,11 +255,8 @@ def _cmd_critical_limit(cfg, out, seed, resolution):
     table, extrapolated, warnings = critical_limit_sweep(space, q_list)
     for msg in warnings:
         print(f"warning: {msg}", file=sys.stderr)
-    write_csv(os.path.join(out, "critical_limit.csv"),
-              ["q", "d_prime", "a_star", "i_value_at_a_star", "constancy",
-               "converged"],
-              [(r["q"], r["d_prime"], r["a_star"], r["i_value"],
-                r["constancy"], r["converged"]) for r in table])
+    acceptance.write_critical_limit_csv(
+        os.path.join(out, "critical_limit.csv"), table)
     limit = a_star(space.n, space.rho)
     doc = {"table_length": len(table), "warnings": warnings,
            "critical_a_star": limit}
@@ -338,26 +277,24 @@ def _cmd_critical_limit(cfg, out, seed, resolution):
 
 
 def _cmd_flow_fd(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir"}, "flow-fd config")
+    _check_keys(cfg, {"seed", "output_dir"}, "flow-fd config")
     return [acceptance.check_finite_dim_decay(out, seed)]
 
 
 def _cmd_flow_fast_diffusion(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir"},
-                "flow-fast-diffusion config")
+    _check_keys(cfg, {"seed", "output_dir"}, "flow-fast-diffusion config")
     N = int(resolution) if resolution else 256
     return [acceptance.check_fast_diffusion_flow(out, N)]
 
 
 def _cmd_entropy_inequality(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir"},
-                "entropy-inequality config")
+    _check_keys(cfg, {"seed", "output_dir"}, "entropy-inequality config")
     N = int(resolution) if resolution else 1024
     return [acceptance.check_entropy_sobolev_equivalence(out, seed, N)]
 
 
 def _cmd_full_suite(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir"}, "full-suite config")
+    _check_keys(cfg, {"seed", "output_dir"}, "full-suite config")
     return acceptance.run_full_suite(out, seed)
 
 
@@ -422,26 +359,18 @@ def main(argv=None) -> int:
         return 3
 
     try:
-        if isinstance(result, dict):      # full-suite wrote its own manifest
-            return 0 if result["status"] == "pass" else 1
-        status = all(c.passed for c in result)
-        manifest = {
-            "tool_version": __version__,
-            "config": {"command": args.command, "seed": seed,
-                       "output_dir": out, **{k: v for k, v in cfg.items()
-                                             if k not in ("seed",
-                                                          "output_dir")}},
-            "checks": [c.to_json_dict() for c in result],
-            "status": "pass" if status else "fail",
-            "timing_file": "timing.json",
-        }
-        write_json(os.path.join(out, "timing.json"),
-                   {"wall_clock_seconds": time.perf_counter() - t0})
-        write_json(os.path.join(out, "manifest.json"), manifest)
+        if not isinstance(result, dict):  # full-suite wrote its own manifest
+            config = {"command": args.command, "seed": seed,
+                      "output_dir": out,
+                      **{k: v for k, v in cfg.items()
+                         if k not in ("seed", "output_dir")}}
+            result = acceptance.write_manifest(
+                out, config, result,
+                {"wall_clock_seconds": time.perf_counter() - t0})
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    return 0 if status else 1
+    return 0 if result["status"] == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -310,20 +310,13 @@ def hessian_second_derivative(space: ModelSpace, mu: ScalarField,
         m, p = state
         mf, pf = space.field(m), space.field(p)
         div = gamma(space, mf, pf).values + m * apply_L(space, pf).values
-        return (-div, -0.5 * gamma(space, pf, pf).values)
+        return np.stack([-div, -0.5 * gamma(space, pf, pf).values])
 
     def evolve(sign):
-        m = np.array(mu.values)
-        p = np.array(phi.values)
-        ds = sign * s / steps
+        state = np.stack([mu.values, phi.values])
         for _ in range(steps):
-            k1 = rhs((m, p))
-            k2 = rhs((m + 0.5 * ds * k1[0], p + 0.5 * ds * k1[1]))
-            k3 = rhs((m + 0.5 * ds * k2[0], p + 0.5 * ds * k2[1]))
-            k4 = rhs((m + ds * k3[0], p + ds * k3[1]))
-            m = m + (ds / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            p = p + (ds / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        return m
+            state = _rk4_step(rhs, state, sign * s / steps)
+        return state[0]
 
     r0 = _renyi_raw(space, mu.values, alpha)
     rp = _renyi_raw(space, evolve(+1.0), alpha)
@@ -339,7 +332,6 @@ def hessian_second_derivative(space: ModelSpace, mu: ScalarField,
 class FlowOptions:
     cfl: float = 0.4
     floor: float = 1e-8
-    diss_tol: float = 1e-3
     grad_stop: float = 1e-12
     max_records: int = 1000
 

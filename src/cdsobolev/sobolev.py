@@ -87,10 +87,13 @@ def extremal_field(space: ModelSpace, beta: float) -> ScalarField:
     return space.field((beta - np.cos(space.grid)) ** expo)
 
 
+def a_star(x: float, rho: float) -> float:
+    """Sharp rigidity threshold 4(x-1)/(x(x-2) rho) at dimension parameter x."""
+    return 4.0 * (x - 1.0) / (x * (x - 2.0) * rho)
+
+
 def sharp_constants(n: float, rho: float) -> tuple[float, float]:
     """((n-1)/(n rho), 4(n-1)/(n(n-2) rho)): inequality coefficient and A*."""
     if n <= 2.0 or rho <= 0.0:
         raise InvalidParameter(f"need n > 2 and rho > 0, got n={n}, rho={rho}")
-    coeff = (n - 1.0) / (n * rho)
-    a_star = 4.0 * (n - 1.0) / (n * (n - 2.0) * rho)
-    return coeff, a_star
+    return (n - 1.0) / (n * rho), a_star(n, rho)

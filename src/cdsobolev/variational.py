@@ -36,7 +36,7 @@ from .errors import (InvalidConfig, InvalidExponent, InvalidParameter,
                      NoConvergence, NonPositiveField)
 from .model_space import (ModelSpace, ScalarField, apply_L, fv_stiffness,
                           gamma, gamma2, integrate)
-from .sobolev import critical_exponent, grad_norm_sq
+from .sobolev import a_star, critical_exponent, grad_norm_sq
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,30 @@ class RigidityEntry:
     term_cd + term_gap + term_f sums to ~0 for converged Euler-Lagrange
     solutions when f is constant; term_cd is the CD-positive part, term_gap
     carries the coefficient (rho - c/d') that flips sign at A*, and term_f is
-    the monotone-f contribution.
+    the monotone-f contribution.  identity_terms are the three integrals of
+    the Gamma_2 identity (``gamma2_identity_terms``) at the pressure function.
     """
     report: MinimizerReport
     A_over_a_star: float
     term_cd: float
     term_gap: float
     term_f: float
-    identity_residual: float
+    identity_terms: tuple[float, float, float]
+
+    @property
+    def identity_residual(self) -> float:
+        """|int (Gamma_2(Phi) - (L Phi)^2/d' - (c/d') Gamma(Phi)) Phi^{1-d'}|."""
+        t_g2, t_lap, t_gam = self.identity_terms
+        return abs(t_g2 - t_lap - t_gam)
+
+    @property
+    def identity_scale(self) -> float:
+        return max(*(abs(t) for t in self.identity_terms), 1.0)
+
+    @property
+    def identity_rel(self) -> float:
+        """The identity residual relative to its largest term (at least 1)."""
+        return self.identity_residual / self.identity_scale
 
 
 def subcritical_params(A: float, q: float) -> tuple[float, float, float]:
@@ -100,9 +116,9 @@ def subcritical_params(A: float, q: float) -> tuple[float, float, float]:
     return d_prime, lam, c
 
 
-def a_star(d_prime: float, rho: float) -> float:
-    """Sharp rigidity threshold 4(x-1)/(x(x-2) rho) at x = d'."""
-    return 4.0 * (d_prime - 1.0) / (d_prime * (d_prime - 2.0) * rho)
+def el_solution(v: np.ndarray, i_value: float, q: float) -> np.ndarray:
+    """I^{1/(q-2)} v: a minimizer rescaled to solve -A L v + v = v^{q-1}."""
+    return i_value ** (1.0 / (q - 2.0)) * v
 
 
 def _newton_polish(S, w, A, q, v, kappa, tol_abs, max_steps=12):
@@ -148,6 +164,8 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
         raise InvalidExponent(f"q = {q} outside the subcritical range (2, {qc})")
     if np.abs(init.values).max() == 0.0:
         raise InvalidParameter("init must be positive somewhere")
+    if opts.max_iter < 1:
+        raise InvalidParameter(f"max_iter = {opts.max_iter} must be >= 1")
 
     w = space.quad_weights
     S = fv_stiffness(space)
@@ -221,8 +239,7 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     vf = space.field(v)
     i_value = A * grad_norm_sq(space, vf) + integrate(space, space.field(v * v))
     d_prime, lam, c = subcritical_params(A, q)
-    mu = i_value
-    w_resc = mu ** (1.0 / (q - 2.0)) * v
+    w_resc = el_solution(v, i_value, q)
     el = -A * apply_L(space, space.field(w_resc)).values + w_resc \
         - w_resc ** (q - 1.0)
     mean = float(np.dot(w, v))
@@ -300,12 +317,10 @@ def rigidity_terms(space: ModelSpace, report: MinimizerReport,
     terms recombine into the Gamma_2 integral identity and sum to ~0 at
     every converged solution.
     """
-    A, q = report.A, report.q
-    d_prime, lam, c = subcritical_params(A, q)
-    mu = report.i_value
-    v = mu ** (1.0 / (q - 2.0)) * report.minimizer.values
+    d_prime, lam, c = report.d_prime, report.lam, report.c
+    v = el_solution(report.minimizer.values, report.i_value, report.q)
     vf = space.field(v)
-    phi = pressure_transform(vf, q)
+    phi = pressure_transform(vf, report.q)
     weight = space.field(phi.values ** (1.0 - d_prime))
     g2 = gamma2(space, phi).values
     g = gamma(space, phi, phi).values
@@ -327,24 +342,61 @@ def rigidity_scan(space: ModelSpace, q: float, a_values,
                   opts: MinimizeOptions | None = None) -> list[RigidityEntry]:
     """Minimize at each A (ascending) and report the rigidity diagnostics."""
     a_values = [float(a) for a in a_values]
-    if sorted(a_values) != a_values:
-        raise InvalidConfig("a_values must be sorted ascending")
+    if not a_values or sorted(a_values) != a_values:
+        raise InvalidConfig("a_values must be nonempty and sorted ascending")
     f_spec = f_spec or {"kind": "constant"}
     _, f_prime = make_f_spec(f_spec["kind"], float(f_spec.get("s", 0.0)))
     if init is None:
         init = space.field(1.0 + 0.4 * np.cos(space.grid))
-    d_prime = 2.0 * q / (q - 2.0)
-    astar = a_star(d_prime, space.rho)
+    astar = a_star(2.0 * q / (q - 2.0), space.rho)
     out = []
     for A in a_values:
         rep = minimize_subcritical(space, A, q, init, opts)
-        _, _, c = subcritical_params(A, q)
         t_cd, t_gap, t_f = rigidity_terms(space, rep, f_prime)
         phi = pressure_transform(
-            space.field(rep.i_value ** (1.0 / (q - 2.0))
-                        * rep.minimizer.values), q)
-        resid = gamma2_identity_residual(space, phi, d_prime, c)
-        out.append(RigidityEntry(report=rep, A_over_a_star=A / astar,
-                                 term_cd=t_cd, term_gap=t_gap, term_f=t_f,
-                                 identity_residual=resid))
+            space.field(el_solution(rep.minimizer.values, rep.i_value, q)), q)
+        out.append(RigidityEntry(
+            report=rep, A_over_a_star=A / astar, term_cd=t_cd,
+            term_gap=t_gap, term_f=t_f,
+            identity_terms=gamma2_identity_terms(space, phi, rep.d_prime,
+                                                 rep.c)))
     return out
+
+
+def critical_limit_sweep(space: ModelSpace, q_list,
+                         opts: MinimizeOptions | None = None):
+    """Track A*(d'(q)) as q increases toward the critical exponent.
+
+    For each strictly subcritical q the sharp threshold A*(d') is evaluated
+    and the minimization at A = A*(d') is run to confirm I(A) = 1 with a
+    constant minimizer.  With at least two entries the limit of A*(d'(q))
+    at the critical exponent is Richardson-extrapolated (linear in the
+    distance to the critical exponent, using the last two points).
+
+    Returns (table, extrapolated_value_or_None, warnings).
+    """
+    qc = critical_exponent(space.n)
+    q_list = [float(q) for q in q_list]
+    if not q_list or sorted(q_list) != q_list:
+        raise InvalidConfig("q_list must be nonempty and sorted ascending")
+    for q in q_list:
+        if not (2.0 < q < qc):
+            raise InvalidExponent(
+                f"q = {q} is not strictly subcritical (need 2 < q < {qc})")
+    init = space.field(1.0 + 0.4 * np.cos(space.grid))
+    table = []
+    for q in q_list:
+        d_prime = 2.0 * q / (q - 2.0)
+        astar = a_star(d_prime, space.rho)
+        rep = minimize_subcritical(space, astar, q, init, opts)
+        table.append({"q": q, "d_prime": d_prime, "a_star": astar,
+                      "i_value": rep.i_value, "constancy": rep.constancy,
+                      "converged": rep.converged})
+    warnings = []
+    if len(q_list) < 2:
+        warnings.append("single q entry: no extrapolation performed")
+        return table, None, warnings
+    e0, e1 = qc - q_list[-2], qc - q_list[-1]
+    a0, a1 = table[-2]["a_star"], table[-1]["a_star"]
+    extrapolated = (a1 * e0 - a0 * e1) / (e0 - e1)
+    return table, extrapolated, warnings

@@ -17,7 +17,7 @@ def expect(result):
 
 @pytest.fixture(scope="module")
 def rigidity_shared():
-    return acceptance._rigidity_scan_shared(resolution=2048, seed=0)
+    return acceptance._rigidity_scan_shared(resolution=2048)
 
 
 def test_sharp_constants():

@@ -37,6 +37,29 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     assert "corpus_sizes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("minimize", {"space": {"resolution": 64}, "max_iter": 0}),
+    ("critical-limit", {"space": {"resolution": 64}, "q_list": []}),
+    ("rigidity-scan", {"space": {"resolution": 64},
+                       "A_range": {"lo": 0.05, "hi": 2.1, "count": 0}}),
+    ("rigidity-scan", {"space": {"resolution": 64},
+                       "init": {"kind": "bogus"}}),
+    ("flow-fd", {"space": {"kind": "bogus"}}),
+    ("flow-fast-diffusion", {"space": {"resolution": 64}}),
+    ("entropy-inequality", {"space": {"resolution": 64}}),
+    ("extremal-sweep", {"space": {"resolution": 64}}),
+    ("full-suite", {"space": {"resolution": 64}}),
+])
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert os.listdir(out) == []               # rejected before any artifact
+
+
 def test_sobolev_deficit_extremal_example(tmp_path):
     cfg = write_config(tmp_path, {
         "space": {"kind": "sphere_radial", "d": 3, "resolution": 1024},
