@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -39,11 +40,46 @@ SPACE_KEYS = {"kind", "d", "n", "resolution"}
 
 
 def _check_keys(block: dict, allowed: set, context: str) -> None:
+    if not isinstance(block, dict):
+        raise InvalidConfig(f"{context} must be a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise InvalidConfig(
             f"unknown key(s) {sorted(unknown)} in {context}; "
             f"allowed: {sorted(allowed)}")
+
+
+def _number(block: dict, key: str, default, context: str) -> float:
+    """The finite JSON number ``block[key]`` (or ``default``) as a float."""
+    value = block.get(key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise InvalidConfig(
+        f"{context} key {key!r} must be a finite number, got {value!r}")
+
+
+def _integer(block: dict, key: str, default, context: str,
+             minimum: int | None = None) -> int:
+    """The integral JSON number ``block[key]`` (or ``default``), at least
+    ``minimum`` when one is given."""
+    value = _number(block, key, default, context)
+    if not value.is_integer() or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidConfig(f"{context} key {key!r} must be an integer"
+                            f"{bound}, got {block.get(key, default)!r}")
+    return int(value)
+
+
+def _number_list(block: dict, key: str, default, context: str) -> list:
+    values = block.get(key, default)
+    if not isinstance(values, list):
+        raise InvalidConfig(
+            f"{context} key {key!r} must be a list of numbers, got {values!r}")
+    return [_number({key: v}, key, None, context) for v in values]
 
 
 def _init_and_options(cfg: dict, space: ModelSpace):
@@ -52,10 +88,10 @@ def _init_and_options(cfg: dict, space: ModelSpace):
     _check_keys(init_spec, {"kind", "amplitude"}, "init")
     if init_spec.get("kind", "cosine_bump") != "cosine_bump":
         raise InvalidConfig(f"unknown init kind {init_spec['kind']!r}")
-    amp = float(init_spec.get("amplitude", 0.4))
+    amp = _number(init_spec, "amplitude", 0.4, "init")
     init = space.field(1.0 + amp * np.cos(space.grid))
-    opts = MinimizeOptions(grad_tol=float(cfg.get("tol", 1e-9)),
-                           max_iter=int(cfg.get("max_iter", 50000)),
+    opts = MinimizeOptions(grad_tol=_number(cfg, "tol", 1e-9, "config"),
+                           max_iter=_integer(cfg, "max_iter", 50000, "config"),
                            raise_on_failure=False)
     return init, opts
 
@@ -68,11 +104,12 @@ def _space_from_config(cfg: dict, resolution_override=None,
     _check_keys(block, SPACE_KEYS, "space")
     spec.update(block)
     if "n" not in block and "d" in block and spec["kind"] == "sphere_radial":
-        spec["n"] = float(block["d"])
+        spec["n"] = block["d"]
     if resolution_override is not None:
-        spec["resolution"] = int(resolution_override)
-    return build_space(spec["kind"], int(spec["d"]), float(spec["n"]),
-                       int(spec["resolution"]))
+        spec["resolution"] = resolution_override
+    return build_space(spec["kind"], _integer(spec, "d", None, "space"),
+                       _number(spec, "n", None, "space"),
+                       _integer(spec, "resolution", None, "space"))
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +120,8 @@ def _cmd_verify_cd(cfg, out, seed, resolution):
     _check_keys(cfg, {"space", "seed", "output_dir", "corpus_size",
                       "tolerance"}, "verify-cd config")
     space = _space_from_config(cfg, resolution)
-    count = int(cfg.get("corpus_size", 50))
-    tol = float(cfg.get("tolerance", 5e-3))
+    count = _integer(cfg, "corpus_size", 50, "config", minimum=1)
+    tol = _number(cfg, "tolerance", 5e-3, "config")
     rng = np.random.default_rng(seed)
     rows = []
     first = None
@@ -117,7 +154,7 @@ def _cmd_bochner(cfg, out, seed, resolution):
     _check_keys(cfg, {"space", "seed", "output_dir", "tolerance"},
                 "bochner config")
     space = _space_from_config(cfg, resolution)
-    tol = float(cfg.get("tolerance", 1e-3))
+    tol = _number(cfg, "tolerance", 1e-3, "config")
     f = space.field_from_function(np.cos)
     resid = bochner_residual(space, f)
     cs_min = float(cauchy_schwarz_margin(space, f).values.min())
@@ -141,11 +178,11 @@ def _cmd_sobolev_deficit(cfg, out, seed, resolution):
     space = _space_from_config(
         cfg, resolution, {"kind": "sphere_radial", "d": 3, "n": 3.0,
                           "resolution": 1024})
-    q = float(cfg.get("q", critical_exponent(space.n)))
+    q = _number(cfg, "q", critical_exponent(space.n), "config")
     vspec = cfg.get("v", {"kind": "extremal", "beta": 2.0})
     _check_keys(vspec, {"kind", "beta"}, "v")
     if vspec.get("kind", "extremal") == "extremal":
-        v = extremal_field(space, float(vspec.get("beta", 2.0)))
+        v = extremal_field(space, _number(vspec, "beta", 2.0, "v"))
         is_extremal = True
     elif vspec["kind"] == "trig_poly":
         v = acceptance.trig_poly_field(space, np.random.default_rng(seed))
@@ -176,8 +213,8 @@ def _cmd_minimize(cfg, out, seed, resolution):
     _check_keys(cfg, {"space", "seed", "output_dir", "A", "q", "init", "tol",
                       "max_iter"}, "minimize config")
     space = _space_from_config(cfg, resolution)
-    A = float(cfg.get("A", 2.1))
-    q = float(cfg.get("q", 5.0))
+    A = _number(cfg, "A", 2.1, "config")
+    q = _number(cfg, "q", 5.0, "config")
     init, opts = _init_and_options(cfg, space)
     rep = minimize_subcritical(space, A, q, init, opts)
     write_json(os.path.join(out, "minimizer.json"), rep.to_json_dict())
@@ -202,19 +239,22 @@ def _cmd_rigidity_scan(cfg, out, seed, resolution):
     space = _space_from_config(
         cfg, resolution, {"kind": "sphere_radial", "d": 3, "n": 3.0,
                           "resolution": 2048})
-    q = float(cfg.get("q", 5.0))
+    q = _number(cfg, "q", 5.0, "config")
     if "A_list" in cfg and "A_range" in cfg:
         raise InvalidConfig("give A_list or A_range, not both")
     if "A_list" in cfg:
-        a_values = [float(a) for a in cfg["A_list"]]
+        a_values = _number_list(cfg, "A_list", None, "config")
     else:
-        rng_spec = cfg.get("A_range", {"lo": 0.05, "hi": 2.1, "count": 11})
+        rng_spec = cfg.get("A_range", {})
         _check_keys(rng_spec, {"lo", "hi", "count"}, "A_range")
-        a_values = list(np.linspace(float(rng_spec["lo"]),
-                                    float(rng_spec["hi"]),
-                                    int(rng_spec["count"])))
-    f_spec = cfg.get("f", {"kind": "constant"})
-    _check_keys(f_spec, {"kind", "s"}, "f")
+        a_values = list(np.linspace(
+            _number(rng_spec, "lo", 0.05, "A_range"),
+            _number(rng_spec, "hi", 2.1, "A_range"),
+            _integer(rng_spec, "count", 11, "A_range", minimum=1)))
+    f_block = cfg.get("f", {})
+    _check_keys(f_block, {"kind", "s"}, "f")
+    f_spec = {"kind": f_block.get("kind", "constant"),
+              "s": _number(f_block, "s", 0.0, "f")}
     init, opts = _init_and_options(cfg, space)
     entries = rigidity_scan(space, q, a_values, f_spec, init, opts)
     astar = a_star(2.0 * q / (q - 2.0), space.rho)
@@ -251,7 +291,7 @@ def _cmd_critical_limit(cfg, out, seed, resolution):
     space = _space_from_config(
         cfg, resolution, {"kind": "sphere_radial", "d": 3, "n": 3.0,
                           "resolution": 1024})
-    q_list = [float(q) for q in cfg.get("q_list", [5.0, 5.5, 5.8, 5.95])]
+    q_list = _number_list(cfg, "q_list", [5.0, 5.5, 5.8, 5.95], "config")
     table, extrapolated, warnings = critical_limit_sweep(space, q_list)
     for msg in warnings:
         print(f"warning: {msg}", file=sys.stderr)
@@ -347,7 +387,8 @@ def main(argv=None) -> int:
             raise InvalidConfig("config root must be a JSON object")
         out = args.out or cfg.get("output_dir") \
             or os.path.join("runs", args.command)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = _integer({"seed": args.seed} if args.seed is not None
+                        else cfg, "seed", 0, "config", minimum=0)
         t0 = time.perf_counter()
         ensure_dir(out)
         result = COMMANDS[args.command](cfg, out, seed, args.resolution)

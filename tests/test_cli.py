@@ -49,6 +49,13 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     ("entropy-inequality", {"space": {"resolution": 64}}),
     ("extremal-sweep", {"space": {"resolution": 64}}),
     ("full-suite", {"space": {"resolution": 64}}),
+    ("minimize", {"space": {"resolution": 64}, "A": "x"}),
+    ("rigidity-scan", {"space": {"resolution": 64},
+                       "A_range": {"count": -1}}),
+    ("rigidity-scan", {"space": {"resolution": 64},
+                       "A_range": {"lo": 1, "hi": 2, "count": -1}}),
+    ("rigidity-scan", {"space": {"resolution": 64},
+                       "A_range": {"lo": 1, "hi": 2, "count": "three"}}),
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)

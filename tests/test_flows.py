@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
-from cdsobolev import build_space, integrate
+from cdsobolev import build_space, flows, integrate
 from cdsobolev.acceptance import trig_poly_field
 from cdsobolev.errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
-                              InvalidParameter, NotAProbabilityDensity,
-                              PositivityLost, StepUnstable)
+                              InvalidParameter, NoConvergence,
+                              NotAProbabilityDensity, PositivityLost,
+                              StepUnstable)
 from cdsobolev.flows import (FiniteDimProblem, FlowOptions, _rk4_step,
                              condition_215_margin, convexity_inequality_margin,
                              convexity_relation_margin, density_from_field,
                              entropy_inequality_margin, fast_diffusion_flow,
                              fd_flow, hessian_second_derivative, renyi_entropy,
                              renyi_grad_norm_sq, renyi_hessian_quadform)
+from cdsobolev.model_space import weighted_laplacian_fv
 from cdsobolev.sobolev import critical_exponent, sobolev_deficit
 
 
@@ -195,6 +197,9 @@ def test_fast_diffusion_validation(sphere):
         fast_diffusion_flow(sphere, mu, 1.5, T=1.0)
     with pytest.raises(InvalidParameter):
         fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.0)
+    with pytest.raises(InvalidParameter):
+        fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=1.0,
+                            opts=FlowOptions(dt=0.0))
     with pytest.raises(NotAProbabilityDensity):
         fast_diffusion_flow(sphere, sphere.field(2.0 + np.zeros(256)),
                             2.0 / 3.0, T=1.0)
@@ -226,14 +231,79 @@ def test_fast_diffusion_structure(sphere):
 
 
 def test_fast_diffusion_step_refinement(sphere):
-    # halving the CFL number changes the endpoint at higher order
+    # implicit midpoint is second order: halving dt quarters the endpoint
+    # error, so successive differences shrink by a factor near 4
     mu = normalized(sphere, 1.0 + 0.5 * np.cos(sphere.grid))
-    ends = {}
-    for cfl in (0.4, 0.2):
-        tr = fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.05,
-                                 opts=FlowOptions(cfl=cfl))
-        ends[cfl] = tr.entropy[-1]
-    assert abs(ends[0.4] - ends[0.2]) <= 1e-10
+    ends = [fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.05,
+                                opts=FlowOptions(dt=dt)).entropy[-1]
+            for dt in (0.005, 0.0025, 0.00125)]
+    d1, d2 = ends[0] - ends[1], ends[1] - ends[2]
+    assert 3.5 <= d1 / d2 <= 4.5
+
+
+@pytest.mark.parametrize("kind, d, n", [("sphere_radial", 3, 3.0),
+                                        ("circle", 1, 1.0)])
+def test_fast_diffusion_matches_explicit_reference(kind, d, n):
+    # the banded implicit solve against explicit RK4 on the sparse FV
+    # operator with a tiny step: the gap is the O(dt^2) midpoint error
+    space = build_space(kind, d, n, 64)
+    mu = normalized(space, 1.0 + 0.5 * np.cos(space.grid))
+    alpha, T, steps = 2.0 / 3.0, 0.05, 2000
+    lap = weighted_laplacian_fv(space)
+    m = np.array(mu.values)
+    for _ in range(steps):
+        m = _rk4_step(lambda v: lap(v ** alpha) / alpha, m, T / steps)
+    ref = np.dot(space.quad_weights, m ** alpha) / (alpha * (alpha - 1.0))
+    trace = fast_diffusion_flow(space, mu, alpha, T=T,
+                                opts=FlowOptions(dt=0.00125))
+    assert abs(trace.entropy[-1] - ref) <= 1e-7
+
+
+@pytest.mark.parametrize("N", [128, 256, 1024])
+@pytest.mark.parametrize("kind, d, n", [("sphere_radial", 3, 3.0),
+                                        ("jacobi", 2, 4.5),
+                                        ("circle", 1, 1.0)])
+def test_fast_diffusion_invariants(kind, d, n, N):
+    # mass, Lyapunov decrease and the stopping rule over seeded cosine
+    # starts; grad_stop = 1e-4 lets some flows stop early and some reach T
+    space = build_space(kind, d, n, N)
+    T = 1.0
+    opts = FlowOptions(grad_stop=1e-4)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        p = sum(c * np.cos(k * space.grid)
+                for k, c in enumerate(rng.uniform(-1.0, 1.0, 3), start=1))
+        mu = normalized(space, 1.0 + 0.5 * p / np.abs(p).max())
+        trace = fast_diffusion_flow(space, mu, 2.0 / 3.0, T=T, opts=opts)
+        assert np.abs(trace.mass - trace.mass[0]).max() <= 1e-10
+        assert np.all(np.diff(trace.entropy) < 0.0)
+        assert trace.steps == len(trace.times) - 1
+        assert trace.steps <= trace.newton_iterations <= 4 * trace.steps
+        if trace.stop_reason == "grad_stop":
+            assert trace.grad_norm_sq[-1] < opts.grad_stop
+            assert trace.times[-1] < T
+        else:
+            assert trace.stop_reason == "T"
+            assert abs(trace.times[-1] - T) <= 1e-12
+            assert np.all(trace.grad_norm_sq >= opts.grad_stop)
+
+
+def test_fast_diffusion_newton_budget(sphere, monkeypatch):
+    mu = normalized(sphere, 1.0 + 0.5 * np.cos(sphere.grid))
+    monkeypatch.setattr(flows, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergence):
+        fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.05)
+
+
+def test_flow_telemetry(sphere):
+    mu = normalized(sphere, 1.0 + 0.5 * np.cos(sphere.grid))
+    summary = fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.05).summary()
+    assert summary["steps"] == 10 and summary["stop_reason"] == "T"
+    assert 10 <= summary["newton_iterations"] <= 40
+    prob = FiniteDimProblem(dim=2, family="quadratic", Q=np.eye(2), rho=1.0)
+    summary = fd_flow(prob, np.ones(2), T=1.0, dt=0.01).summary()
+    assert (summary["steps"], summary["newton_iterations"],
+            summary["stop_reason"]) == (100, 0, "T")
 
 
 # ------------------------------------------------------ entropy-Sobolev link
