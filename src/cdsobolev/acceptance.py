@@ -263,7 +263,7 @@ def _rigidity_scan_shared(resolution=2048):
     """The 11-point scan shared by the rigidity and identity checks."""
     space = build_space("sphere_radial", 3, 3.0, resolution)
     q = 5.0
-    astar = a_star(2.0 * q / (q - 2.0), space.rho)
+    astar = a_star(critical_exponent(q), space.rho)
     a_values = [0.05] + list(np.linspace(astar, 2.0 * astar, 10))
     entries = rigidity_scan(space, q, a_values)
     return space, q, astar, entries

@@ -257,7 +257,7 @@ def _cmd_rigidity_scan(cfg, out, seed, resolution):
               "s": _number(f_block, "s", 0.0, "f")}
     init, opts = _init_and_options(cfg, space)
     entries = rigidity_scan(space, q, a_values, f_spec, init, opts)
-    astar = a_star(2.0 * q / (q - 2.0), space.rho)
+    astar = a_star(critical_exponent(q), space.rho)
     worst_rel = max(e.identity_rel for e in entries)
     acceptance.write_rigidity_csv(os.path.join(out, "rigidity_scan.csv"),
                                   entries)

@@ -51,3 +51,7 @@ class PositivityLost(ToolkitError):
 
 class StepUnstable(ToolkitError):
     """A time step increased the Lyapunov functional beyond tolerance."""
+
+
+class SingularMatrix(ToolkitError):
+    """A linear system's matrix is singular to working precision."""

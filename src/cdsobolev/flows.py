@@ -14,9 +14,9 @@ R_alpha(mu) = (1/(alpha(alpha-1))) int mu^alpha with respect to the Otto
 metric |grad phi|_mu^2 = int Gamma(phi) dmu.  Time stepping uses the
 self-adjoint finite-volume form of L, so mass is conserved to roundoff.
 The scheme is the implicit midpoint rule at a fixed step: second order and
-free of the h^2 stability bound of explicit schemes.  Its stiffness matrix
-is tridiagonal, so each Newton iteration of a step is one banded solve
-(with a Sherman-Morrison correction for the periodic closure of the
+free of the h^2 stability bound of explicit schemes.  The stiffness S and
+its stencil, factor and solve come from ``model_space``: S is tridiagonal,
+so each Newton iteration of a step is one tridiagonal solve (cyclic on the
 circle).  The default step dt = 5e-3 is the one the dissipation-identity
 check admits; see ``fast_diffusion_flow``.  The Otto Hessian of R_alpha,
 its quadratic-form evaluation, and the convexity relation that reproduces
@@ -29,13 +29,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
                      InvalidParameter, NoConvergence, NotAProbabilityDensity,
                      PositivityLost, StepUnstable, UnsupportedKind)
-from .model_space import (ModelSpace, ScalarField, apply_L, fv_stiffness,
-                          gamma, gamma2, integrate)
+from .model_space import (ModelSpace, ScalarField, _diff1, apply_L,
+                          apply_stiffness, fv_stiffness, gamma, gamma2,
+                          integrate, tridiagonal_solver)
 from .sobolev import grad_norm_sq
 
 MASS_TOL = 1e-8
@@ -139,7 +139,7 @@ class FlowTrace:
     sup_distance: np.ndarray       # to the equilibrium point/density
     mass: np.ndarray | None = None
     steps: int = 0                 # time steps taken
-    newton_iterations: int = 0     # banded solves (implicit flows only)
+    newton_iterations: int = 0     # linear solves (implicit flows only)
     stop_reason: str = "T"         # "T" reached or "grad_stop"
 
     def __post_init__(self):
@@ -161,14 +161,14 @@ class FlowTrace:
         }
 
 
-def _dissipation_residuals(times, entropy, gnsq) -> np.ndarray:
-    """|dE/dt + |grad|^2| with centered differences (one-sided at the ends)."""
-    t = np.asarray(times)
-    e = np.asarray(entropy)
-    if len(t) < 2:
-        return np.zeros_like(t)
-    dedt = np.gradient(e, t)
-    return np.abs(dedt + np.asarray(gnsq))
+def _make_trace(times, ent, gn, comp, dist, **counters) -> FlowTrace:
+    """FlowTrace of the recorded lists.  The dissipation residual is
+    |dE/dt + |grad|^2|, centered differences (one-sided at the ends)."""
+    t, e, g = np.array(times), np.array(ent), np.array(gn)
+    resid = np.abs(np.gradient(e, t) + g) if len(t) >= 2 else np.zeros_like(t)
+    return FlowTrace(times=t, entropy=e, grad_norm_sq=g,
+                     companion=np.array(comp), dissipation_residual=resid,
+                     sup_distance=np.array(dist), **counters)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +216,7 @@ def fd_flow(problem: FiniteDimProblem, x0, T: float, dt: float,
         if k % every == 0 or k == nsteps:
             record(k * dt, x)
 
-    times = np.array(times)
-    ent = np.array(ent)
-    gn = np.array(gn)
-    return FlowTrace(times=times, entropy=ent, grad_norm_sq=gn,
-                     companion=np.array(comp),
-                     dissipation_residual=_dissipation_residuals(times, ent, gn),
-                     sup_distance=np.array(dist), steps=nsteps)
+    return _make_trace(times, ent, gn, comp, dist, steps=nsteps)
 
 
 def condition_215_margin(problem: FiniteDimProblem, x) -> float:
@@ -267,6 +261,13 @@ def _renyi_raw(space: ModelSpace, values: np.ndarray, alpha: float) -> float:
                  / (alpha * (alpha - 1.0)))
 
 
+def _otto_grad_norm_sq(space: ModelSpace, values: np.ndarray,
+                       alpha: float) -> float:
+    """int Gamma(Phi) mu dnu, Phi = mu^{alpha-1}/(alpha-1), on raw values."""
+    dphi = _diff1(space, values ** (alpha - 1.0) / (alpha - 1.0))
+    return float(np.dot(space.quad_weights, dphi * dphi * values))
+
+
 def renyi_entropy(space: ModelSpace, mu: ScalarField, alpha: float) -> float:
     """R_alpha(mu) = (1/(alpha(alpha-1))) int mu^alpha dnu."""
     _check_alpha(alpha)
@@ -286,9 +287,7 @@ def renyi_grad_norm_sq(space: ModelSpace, mu: ScalarField,
     """Squared Otto norm of grad R_alpha: int Gamma(Phi) mu dnu."""
     _check_alpha(alpha)
     _check_density(space, mu)
-    phi = renyi_pressure(space, mu, alpha)
-    return integrate(space, space.field(
-        gamma(space, phi, phi).values * mu.values))
+    return _otto_grad_norm_sq(space, mu.values, alpha)
 
 
 def renyi_hessian_quadform(space: ModelSpace, mu: ScalarField, alpha: float,
@@ -352,69 +351,26 @@ NEWTON_MAX_ITER = 20
 NEWTON_RTOL = 1e-10
 
 
-def _stiffness_bands(space: ModelSpace, scale: float):
-    """Main and first off-diagonal of ``scale * fv_stiffness`` and its
-    periodic corner entry (0 off the circle)."""
-    S = scale * fv_stiffness(space)
-    corner = float(S[0, space.resolution - 1]) if space.kind == "circle" \
-        else 0.0
-    return S.diagonal(0), S.diagonal(1), corner
-
-
-def _apply_stiffness(bands, v: np.ndarray) -> np.ndarray:
-    """S v from the bands: the 3-point stencil, closed cyclically on the
-    circle."""
-    main, off, corner = bands
-    out = main * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
-    if corner:
-        out[0] += corner * v[-1]
-        out[-1] += corner * v[0]
-    return out
-
-
 def _midpoint_step(bands, w: np.ndarray, m: np.ndarray, alpha: float):
     """One implicit-midpoint step of w * m' = -(1/alpha) S m^alpha.
 
-    ``bands`` are those of (dt/2) S.  Solves w (y - m) + (dt/(2 alpha))
-    S y^alpha = 0 for the midpoint y by Newton's method: the Jacobian
-    w + (dt/2) S diag(y^(alpha-1)) is tridiagonal, so each iteration is one
-    banded solve.  On the circle the two corner entries are a rank-one
-    update of a tridiagonal matrix, removed by Sherman-Morrison within the
-    same solve.  Because 1^T S = 0, every iterate keeps w . y = w . m to
-    roundoff.  Newton stops once |delta| <= NEWTON_RTOL max|y|, a floor
-    that scales with the roundoff of the residual, which grows with N.
-    Returns m_next = 2 y - m and the number of Newton iterations.
+    ``bands`` are those of (dt/2) S.  Newton's method solves w (y - m) +
+    (dt/(2 alpha)) S y^alpha = 0 for the midpoint y, one
+    ``tridiagonal_solver`` call on the Jacobian w + (dt/2) S diag(y^(alpha-1))
+    per iteration; 1^T S = 0 keeps w . y = w . m to roundoff.  It stops once
+    |delta| <= NEWTON_RTOL max|y|, a floor that grows with N like the
+    residual's roundoff.  Returns m_next = 2 y - m and the iteration count.
     """
     main, off, corner = bands
-    ab = np.empty((3, len(m)))
     y = m.copy()
     for it in range(1, NEWTON_MAX_ITER + 1):
         if float(y.min()) <= 0.0:
             raise PositivityLost(f"Newton iterate lost positivity "
                                  f"(min {y.min()})")
         d = y ** (alpha - 1.0)
-        resid = w * (y - m) + _apply_stiffness(bands, y * d) / alpha
-        ab[0, 1:] = off * d[1:]
-        ab[1] = w + main * d
-        ab[2, :-1] = off * d[:-1]
-        if corner:
-            # J = B + u v^T: B tridiagonal, u = (g, 0.., lo),
-            # v = (1, 0.., up/g)
-            up, lo = corner * d[-1], corner * d[0]
-            g = -ab[1, 0]
-            ab[1, 0] -= g
-            ab[1, -1] -= lo * up / g
-            u = np.zeros(len(m))
-            u[0], u[-1] = g, lo
-            x, z = solve_banded((1, 1), ab, np.column_stack([-resid, u]),
-                                overwrite_ab=True, check_finite=False).T
-            vx, vz = x[0] + up / g * x[-1], z[0] + up / g * z[-1]
-            delta = x - vx / (1.0 + vz) * z
-        else:
-            delta = solve_banded((1, 1), ab, -resid, overwrite_ab=True,
-                                 check_finite=False)
+        resid = w * (y - m) + apply_stiffness(bands, y * d) / alpha
+        delta = tridiagonal_solver(off * d[:-1], w + main * d, off * d[1:],
+                                   (corner * d[-1], corner * d[0]))(-resid)
         y += delta
         if float(np.abs(delta).max()) <= NEWTON_RTOL * float(np.abs(y).max()):
             return 2.0 * y - m, it
@@ -432,8 +388,8 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
     weights, so 1^T S = 0 conserves mass to roundoff.  The step is fixed,
     at most ``opts.dt`` and dividing T evenly; the implicit rule has no CFL
     bound, so the cost per unit time does not grow like N^2.  Each step
-    solves for its midpoint by Newton's method with one banded solve per
-    iteration (see ``_midpoint_step``).  The default dt = 5e-3 is set by
+    solves for its midpoint by Newton's method with one tridiagonal solve
+    per iteration (see ``_midpoint_step``).  The default dt = 5e-3 is set by
     the dissipation gate of ``check_fast_diffusion_flow``: the residual
     |dR/dt + |grad R|^2| is measured by centered differences over the
     record spacing, which is dt while T/dt <= max_records, and is 3.2e-4
@@ -453,7 +409,7 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
 
     nsteps = max(1, math.ceil(T / opts.dt - 1e-9))
     dt = T / nsteps
-    bands = _stiffness_bands(space, 0.5 * dt)
+    bands = tuple(0.5 * dt * band for band in fv_stiffness(space))
     w = space.quad_weights
     beta = 2.0 * alpha - 1.0
     every = max(1, math.ceil(nsteps / opts.max_records))
@@ -461,11 +417,9 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
     times, ent, gn, comp, dist, mass = [], [], [], [], [], []
 
     def record(t, m):
-        mf = space.field(m)
-        phi = renyi_pressure(space, mf, alpha)
         times.append(t)
         ent.append(_renyi_raw(space, m, alpha))
-        gn.append(float(np.dot(w, gamma(space, phi, phi).values * m)))
+        gn.append(_otto_grad_norm_sq(space, m, alpha))
         if abs(beta) < 1e-14:
             comp.append(float("nan"))  # beta = 0 degenerate order
         else:
@@ -493,15 +447,9 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
                 stop_reason = "grad_stop"
                 break
 
-    times = np.array(times)
-    ent = np.array(ent)
-    gn = np.array(gn)
-    return FlowTrace(times=times, entropy=ent, grad_norm_sq=gn,
-                     companion=np.array(comp),
-                     dissipation_residual=_dissipation_residuals(times, ent, gn),
-                     sup_distance=np.array(dist), mass=np.array(mass),
-                     steps=k, newton_iterations=newton,
-                     stop_reason=stop_reason)
+    return _make_trace(times, ent, gn, comp, dist, mass=np.array(mass),
+                       steps=k, newton_iterations=newton,
+                       stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ exp(-W)/Z.  Three kinds are supported:
 Derivatives are centered second-order finite differences with even-reflection
 closure at the poles (periodic closure on the circle).  The drift W' is always
 evaluated analytically as (n-1) cot(theta), never by differencing W.
+
+The finite-volume stiffness S lives here only: its bands, its stencil and
+one tridiagonal factor/solve (``fv_stiffness``, ``apply_stiffness``,
+``tridiagonal_solver``).
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.linalg import lapack
 
-from .errors import InvalidConfig, SpaceMismatch
+from .errors import InvalidConfig, SingularMatrix, SpaceMismatch
 
 KINDS = ("sphere_radial", "jacobi", "circle")
 
@@ -212,48 +216,84 @@ def ibp_residual(space: ModelSpace, u: ScalarField, v: ScalarField) -> float:
     return max(abs(lu_v + g_uv), abs(lu_v - u_lv))
 
 
-def fv_stiffness(space: ModelSpace) -> sp.csc_matrix:
-    """Finite-volume Dirichlet form matrix S with v^T S v ~ int Gamma(v) dnu.
+def fv_stiffness(space: ModelSpace) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bands (main, off, corner) of the finite-volume Dirichlet form S.
 
-    Built from face-centered weights, so S is symmetric positive
-    semidefinite with kernel spanned by constants and 1^T S = 0 exactly.
-    Used internally by the variational and flow modules, whose iterations
-    need an oscillation-proof discrete energy; the diagnostic operators above
-    keep the centered stencils.
+    S is symmetric tridiagonal with v^T S v ~ int Gamma(v) dnu, closed on
+    the circle by S[0, N-1] = S[N-1, 0] = corner (0 on the other kinds).
+    Face-centered weights make it an oscillation-proof energy: positive
+    semidefinite, with 1^T S = 0 exactly.
     """
     N = space.resolution
     h = space.h
     if space.kind == "circle":
         # face i sits between cells i-1 and i (cyclic), unit weight
-        rows, cols, vals = [], [], []
         c = 1.0 / (space.Z * h)
-        for i in range(N):
-            j = (i - 1) % N
-            rows += [i, j, i, j]
-            cols += [i, j, j, i]
-            vals += [c, c, -c, -c]
-        return sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(N, N)))
+        return np.full(N, 2.0 * c), np.full(N - 1, -c), -c
     # interior faces at theta = i*h, i = 1..N-1; pole faces carry zero weight
-    faces = np.arange(1, N) * h
-    a = np.sin(faces) ** (space.n - 1.0)
-    c = a / (space.Z * h)
+    c = np.sin(np.arange(1, N) * h) ** (space.n - 1.0) / (space.Z * h)
     main = np.zeros(N)
     main[:-1] += c
     main[1:] += c
-    off = -c
-    return sp.csc_matrix(sp.diags([off, main, off], [-1, 0, 1], format="csc"))
+    return main, -c, 0.0
+
+
+def apply_stiffness(bands, v: np.ndarray) -> np.ndarray:
+    """S v by the 3-point stencil.  Rows add lower, main, upper terms in
+    that order, as a CSC matvec does: off the circle this is bit-identical
+    to scipy's ``S @ v``, which pins the roundoff-chaotic descent."""
+    main, off, corner = bands
+    out = main * v
+    out[1:] += off * v[:-1]
+    out[:-1] += off * v[1:]
+    if corner:
+        out[0] += corner * v[-1]
+        out[-1] += corner * v[0]
+    return out
+
+
+def tridiagonal_solver(lower, diag, upper, corners=(0.0, 0.0)):
+    """Factor the tridiagonal T once (LAPACK gttrf); return b -> T^{-1} b.
+
+    b may be a vector or an N x k array.  ``corners`` = (T[0, N-1],
+    T[N-1, 0]) close T cyclically: T = B + u v^T with B tridiagonal,
+    u = (g, 0.., lo), v = (1, 0.., up/g), and Sherman-Morrison gives
+    T^{-1} b = x - (v.x / (1 + v.z)) z, x = B^{-1} b, z = B^{-1} u.
+    Raises ``SingularMatrix`` on a zero pivot or on 1 + v.z lost to
+    cancellation.
+    """
+    up, lo = corners
+    diag = np.array(diag, dtype=float)
+    g = -diag[0] or 1.0  # B[0, 0] = 2 T[0, 0]: no cancellation
+    if up or lo:
+        diag[0] -= g
+        diag[-1] -= lo * up / g
+    *factor, info = lapack.dgttrf(lower, diag, upper)
+    if info != 0:
+        raise SingularMatrix(f"tridiagonal factor: gttrf info = {info}")
+
+    def solve_b(b):
+        return lapack.dgttrs(*factor, b)[0]
+
+    if not (up or lo):
+        return solve_b
+    u = np.zeros(len(diag))
+    u[0], u[-1] = g, lo
+    z = solve_b(u)
+    vz = z[0] + up / g * z[-1]
+    if abs(1.0 + vz) <= np.finfo(float).eps * (1.0 + abs(vz)):
+        raise SingularMatrix("cyclic tridiagonal matrix is singular")
+
+    def solve(b):
+        x = solve_b(b)
+        return x - np.multiply.outer(z, (x[0] + up / g * x[-1]) / (1.0 + vz))
+
+    return solve
 
 
 def weighted_laplacian_fv(space: ModelSpace):
-    """Return a callable approximating L in self-adjoint finite-volume form.
-
-    L_fv = -diag(w)^{-1} S; exactly mass-free and symmetric in the nu inner
-    product.  Used by the density flows to conserve mass to roundoff.
-    """
-    S = fv_stiffness(space)
+    """L in self-adjoint finite-volume form, L_fv = -diag(w)^{-1} S, as a
+    callable: exactly mass-free and symmetric in the nu inner product."""
+    bands = fv_stiffness(space)
     w = space.quad_weights
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        return -(S @ values) / w
-
-    return apply
+    return lambda values: -apply_stiffness(bands, values) / w

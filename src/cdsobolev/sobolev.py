@@ -43,7 +43,7 @@ class SobolevReport:
 
 
 def critical_exponent(n: float) -> float:
-    """2* = 2n/(n-2)."""
+    """2* = 2n/(n-2), and d'(q) = 2q/(q-2): x -> 2x/(x-2) is an involution."""
     return 2.0 * n / (n - 2.0)
 
 

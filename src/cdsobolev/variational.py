@@ -34,8 +34,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import (InvalidConfig, InvalidExponent, InvalidParameter,
                      NoConvergence, NonPositiveField)
-from .model_space import (ModelSpace, ScalarField, apply_L, fv_stiffness,
-                          gamma, gamma2, integrate)
+from .model_space import (ModelSpace, ScalarField, apply_L, apply_stiffness,
+                          fv_stiffness, gamma, gamma2, integrate,
+                          tridiagonal_solver)
 from .sobolev import a_star, critical_exponent, grad_norm_sq
 
 
@@ -110,7 +111,7 @@ class RigidityEntry:
 
 def subcritical_params(A: float, q: float) -> tuple[float, float, float]:
     """(d', lambda, c) for the pressure equation at (A, q)."""
-    d_prime = 2.0 * q / (q - 2.0)
+    d_prime = critical_exponent(q)
     lam = (q - 2.0) / (2.0 * A)
     c = 2.0 * lam * (d_prime - 1.0)
     return d_prime, lam, c
@@ -121,19 +122,21 @@ def el_solution(v: np.ndarray, i_value: float, q: float) -> np.ndarray:
     return i_value ** (1.0 / (q - 2.0)) * v
 
 
-def _newton_polish(S, w, A, q, v, kappa, tol_abs, max_steps=12):
+def _newton_polish(bands, w, A, q, v, kappa, tol_abs, max_steps=12):
     """Drive the constrained stationarity system to machine precision.
 
     Solves 2(A S + W) v = kappa q W v^{q-1}, sum w v^q = 1 by a bordered
     Newton iteration.  Run only after the descent phase has localized the
-    minimizer; takes over where energy comparisons drown in roundoff.
+    minimizer; takes over where energy comparisons drown in roundoff.  The
+    bordered system [[H, -g], [g^T, 0]], g = q w v^{q-1}, is solved by block
+    elimination on the tridiagonal H: H [a b] = [-res_v, g], then
+    dv = a + b dkappa.
     """
-    N = len(v)
-    best_v, best_kappa = v, kappa
-    best_res = np.inf
+    main, off, corner = ((2.0 * A) * band for band in bands)
+    best_v, best_kappa, best_res = v, kappa, np.inf
     for _ in range(max_steps):
         cg = q * w * v ** (q - 1.0)
-        grad = 2.0 * (A * (S @ v) + w * v)
+        grad = 2.0 * (A * apply_stiffness(bands, v) + w * v)
         res_v = grad - kappa * cg
         res_c = np.dot(w, v ** q) - 1.0
         res = max(float(np.abs(res_v / w).max()), abs(res_c))
@@ -141,12 +144,12 @@ def _newton_polish(S, w, A, q, v, kappa, tol_abs, max_steps=12):
             best_v, best_kappa, best_res = v, kappa, res
         if res < tol_abs or res > 10.0 * best_res:
             break
-        H = (2.0 * A) * S + sp.diags(
-            2.0 * w - kappa * q * (q - 1.0) * w * v ** (q - 2.0), format="csc")
-        J = sp.bmat([[H, -cg[:, None]], [cg[None, :], None]], format="csc")
-        delta = spla.spsolve(J, np.concatenate([-res_v, [-res_c]]))
-        v = v + delta[:N]
-        kappa = kappa + delta[N]
+        diag = main + (2.0 * w - kappa * q * (q - 1.0) * w * v ** (q - 2.0))
+        a, b = tridiagonal_solver(off, diag, off, (corner, corner))(
+            np.column_stack([-res_v, cg])).T
+        d_kappa = (-res_c - np.dot(cg, a)) / np.dot(cg, b)
+        v = v + (a + d_kappa * b)
+        kappa = kappa + d_kappa
         if v.min() <= 0.0:
             break
     return best_v, best_kappa, best_res
@@ -168,12 +171,18 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
         raise InvalidParameter(f"max_iter = {opts.max_iter} must be >= 1")
 
     w = space.quad_weights
-    S = fv_stiffness(space)
-    M = (2.0 * A) * S + sp.diags(2.0 * w, format="csc")
-    solve = spla.splu(sp.csc_matrix(M)).solve
+    bands = fv_stiffness(space)
+    main, off, corner = ((2.0 * A) * band for band in bands)
+    # the preconditioner M = 2A S + 2W stays on SuperLU (a zero corner adds
+    # no entry): the descent is chaotic at roundoff, and M factored by
+    # tridiagonal_solver takes the N=2048, A=0.05 scan point from about a
+    # hundred iterations to the 50,000 cap
+    solve = spla.splu(sp.diags([off, main + 2.0 * w, off, [corner], [corner]],
+                               [-1, 0, 1, len(w) - 1, 1 - len(w)],
+                               format="csc")).solve
 
     def energy(v):
-        return float(A * (v @ (S @ v)) + np.dot(w, v * v))
+        return float(A * (v @ apply_stiffness(bands, v)) + np.dot(w, v * v))
 
     def project(v):
         v = np.abs(v)
@@ -186,7 +195,7 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     converged = False
     it = 0
     for it in range(1, opts.max_iter + 1):
-        grad = 2.0 * (A * (S @ v) + w * v)
+        grad = 2.0 * (A * apply_stiffness(bands, v) + w * v)
         cgrad = q * w * v ** (q - 1.0)
         coef = float(np.dot(grad, cgrad) / np.dot(cgrad, cgrad))
         pg = grad - coef * cgrad
@@ -219,11 +228,11 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
         # line search drowns in quadrature roundoff (the projected-gradient
         # sup-norm weights the pole cells by ~1/w and stalls near 1e-6
         # while energy differences are already below machine precision).
-        grad = 2.0 * (A * (S @ v) + w * v)
+        grad = 2.0 * (A * apply_stiffness(bands, v) + w * v)
         cgrad = q * w * v ** (q - 1.0)
         kappa = float(np.dot(grad, cgrad) / np.dot(cgrad, cgrad))
         v_new, kappa, res = _newton_polish(
-            S, w, A, q, v, kappa, opts.grad_tol * (1.0 + abs(e)))
+            bands, w, A, q, v, kappa, opts.grad_tol * (1.0 + abs(e)))
         if res < pg_sup:
             v, pg_sup = v_new, res
             e = energy(v)
@@ -308,14 +317,15 @@ def make_f_spec(kind: str, s: float = 0.0):
     raise InvalidConfig(f"unknown f_spec kind {kind!r}")
 
 
-def rigidity_terms(space: ModelSpace, report: MinimizerReport,
-                   f_prime) -> tuple[float, float, float]:
+def rigidity_terms(space: ModelSpace, report: MinimizerReport, f_prime):
     """Evaluate the three-term rigidity decomposition at a minimizer.
 
     Uses the subcritical exponent d' = 2q/(q-2) as the dimension parameter
     (rather than its critical limit n), so that for constant f the three
     terms recombine into the Gamma_2 integral identity and sum to ~0 at
-    every converged solution.
+    every converged solution.  Returns (term_cd, term_gap, term_f,
+    identity_terms), the last from ``gamma2_identity_terms`` at the same
+    pressure function Phi.
     """
     d_prime, lam, c = report.d_prime, report.lam, report.c
     v = el_solution(report.minimizer.values, report.i_value, report.q)
@@ -333,7 +343,8 @@ def rigidity_terms(space: ModelSpace, report: MinimizerReport,
     term_f = lam * integrate(space, space.field(
         f_prime(v) * phi.values ** 2
         * gamma(space, vf, weight).values))
-    return term_cd, term_gap, term_f
+    return term_cd, term_gap, term_f, gamma2_identity_terms(space, phi,
+                                                            d_prime, c)
 
 
 def rigidity_scan(space: ModelSpace, q: float, a_values,
@@ -348,18 +359,14 @@ def rigidity_scan(space: ModelSpace, q: float, a_values,
     _, f_prime = make_f_spec(f_spec["kind"], float(f_spec.get("s", 0.0)))
     if init is None:
         init = space.field(1.0 + 0.4 * np.cos(space.grid))
-    astar = a_star(2.0 * q / (q - 2.0), space.rho)
+    astar = a_star(critical_exponent(q), space.rho)
     out = []
     for A in a_values:
         rep = minimize_subcritical(space, A, q, init, opts)
-        t_cd, t_gap, t_f = rigidity_terms(space, rep, f_prime)
-        phi = pressure_transform(
-            space.field(el_solution(rep.minimizer.values, rep.i_value, q)), q)
+        t_cd, t_gap, t_f, identity = rigidity_terms(space, rep, f_prime)
         out.append(RigidityEntry(
             report=rep, A_over_a_star=A / astar, term_cd=t_cd,
-            term_gap=t_gap, term_f=t_f,
-            identity_terms=gamma2_identity_terms(space, phi, rep.d_prime,
-                                                 rep.c)))
+            term_gap=t_gap, term_f=t_f, identity_terms=identity))
     return out
 
 
@@ -386,7 +393,7 @@ def critical_limit_sweep(space: ModelSpace, q_list,
     init = space.field(1.0 + 0.4 * np.cos(space.grid))
     table = []
     for q in q_list:
-        d_prime = 2.0 * q / (q - 2.0)
+        d_prime = critical_exponent(q)
         astar = a_star(d_prime, space.rho)
         rep = minimize_subcritical(space, astar, q, init, opts)
         table.append({"q": q, "d_prime": d_prime, "a_star": astar,

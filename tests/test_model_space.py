@@ -2,14 +2,28 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cdsobolev import apply_L, build_space, gamma, gamma2, ibp_residual, integrate
-from cdsobolev.errors import InvalidConfig, SpaceMismatch
-from cdsobolev.model_space import fv_stiffness, weighted_laplacian_fv
+from cdsobolev.errors import InvalidConfig, SingularMatrix, SpaceMismatch
+from cdsobolev.model_space import (apply_stiffness, fv_stiffness,
+                                   tridiagonal_solver, weighted_laplacian_fv)
 
 
 def ones_field(space):
     return space.field(np.ones(space.resolution))
+
+
+def dense_tridiagonal(lower, diag, upper, corners=(0.0, 0.0)):
+    T = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    T[0, -1] += corners[0]
+    T[-1, 0] += corners[1]
+    return T
+
+
+def dense_stiffness(space):
+    main, off, corner = fv_stiffness(space)
+    return dense_tridiagonal(off, main, off, (corner, corner))
 
 
 @pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
@@ -121,13 +135,81 @@ def test_moment_oracles():
                                       ("circle", 1, 1.0)])
 def test_fv_stiffness_structure(kind, d, n):
     space = build_space(kind, d, n, 128)
-    S = fv_stiffness(space).toarray()
+    S = dense_stiffness(space)
     assert np.abs(S - S.T).max() <= 1e-15
     scale = np.abs(S).max()
     assert np.abs(S @ np.ones(128)).max() <= 1e-13 * scale   # constants in kernel
     assert np.abs(np.ones(128) @ S).max() <= 1e-13 * scale   # exact conservation
     eigs = np.linalg.eigvalsh(S)
     assert eigs.min() >= -1e-12
+
+
+@pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
+                                      ("jacobi", 2, 4.5)])
+@pytest.mark.parametrize("N", [128, 2048])
+def test_apply_stiffness_matches_csc_matvec_bitwise(kind, d, n, N):
+    # the descent's roundoff-chaotic iteration counts depend on this order
+    space = build_space(kind, d, n, N)
+    bands = fv_stiffness(space)
+    main, off, _ = bands
+    S = sp.diags([off, main, off], [-1, 0, 1], format="csc")
+    rng = np.random.default_rng(N)
+    for scale in (1e-3, 1.0, 1e3):
+        v = scale * rng.standard_normal(N)
+        assert np.array_equal(apply_stiffness(bands, v), S @ v)
+
+
+def test_apply_stiffness_circle_matches_dense():
+    space = build_space("circle", 1, 1.0, 128)
+    S = dense_stiffness(space)
+    assert S[0, -1] != 0.0 and S[-1, 0] != 0.0
+    v = np.random.default_rng(3).standard_normal(128)
+    gap = apply_stiffness(fv_stiffness(space), v) - S @ v
+    assert np.abs(gap).max() <= 1e-13 * np.abs(S).max()
+
+
+def _solver_cases():
+    rng = np.random.default_rng(7)
+    N = 64
+    lower, upper = rng.uniform(-1, 1, N - 1), rng.uniform(-1, 1, N - 1)
+    dominant = 3.0 + rng.uniform(0, 1, N)
+    yield "nonsymmetric", (lower, dominant, upper, (0.0, 0.0))
+    yield "nonsymmetric cyclic", (lower, dominant, upper, (0.7, -0.4))
+    # the polish's H = 2A S + 2W - 2(q-1)W at a constant state: indefinite
+    for kind, d, n in (("sphere_radial", 3, 3.0), ("circle", 1, 3.0)):
+        space = build_space(kind, d, n, N)
+        main, off, corner = fv_stiffness(space)
+        A, q, w = 0.3, 5.0, space.quad_weights
+        diag = (2.0 * A) * main + (2.0 * w - 2.0 * (q - 1.0) * w)
+        scaled = (2.0 * A) * off
+        yield f"indefinite {kind}", (scaled, diag, scaled,
+                                     (2.0 * A * corner,) * 2)
+
+
+@pytest.mark.parametrize("name,args", list(_solver_cases()))
+def test_tridiagonal_solver_matches_dense_solve(name, args):
+    T = dense_tridiagonal(*args)
+    if "indefinite" in name:
+        eigs = np.linalg.eigvalsh(T)
+        assert eigs.min() < 0.0 < eigs.max()
+    solve = tridiagonal_solver(*args)
+    rng = np.random.default_rng(11)
+    for b in (rng.standard_normal(len(T)), rng.standard_normal((len(T), 2))):
+        x = solve(b)
+        ref = np.linalg.solve(T, b)
+        assert x.shape == b.shape
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_tridiagonal_solver_singular_raises():
+    N = 16
+    off = -np.ones(N - 1)
+    path = np.full(N, 2.0)
+    path[[0, -1]] = 1.0
+    with pytest.raises(SingularMatrix):
+        tridiagonal_solver(off, path, off)                 # zero pivot
+    with pytest.raises(SingularMatrix):                    # cyclic Laplacian
+        tridiagonal_solver(off, np.full(N, 2.0), off, (-1.0, -1.0))
 
 
 def test_fv_laplacian_matches_centered_operator():

@@ -1,0 +1,68 @@
+"""Static structure of the package: import graph and sparse-matrix use."""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cdsobolev"
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _relative_imports(tree, modules):
+    """Package modules that ``tree`` imports through relative imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        if node.module is not None:
+            out.add(node.module.split(".")[0])
+        else:  # from . import name: a submodule, or a name of the package
+            out.update(a.name if a.name in modules else "__init__"
+                       for a in node.names)
+    return out
+
+
+def _imports_scipy_sparse(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == "scipy.sparse" or n.startswith("scipy.sparse.")
+               for n in names):
+            return True
+    return False
+
+
+def test_relative_import_graph_is_acyclic():
+    modules = _modules()
+    graph = {name: _relative_imports(tree, modules)
+             for name, tree in modules.items()}
+    assert set().union(*graph.values()) <= set(graph)
+    done, on_path = set(), []
+
+    def visit(name):
+        if name in on_path:
+            cycle = on_path[on_path.index(name):] + [name]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        on_path.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        on_path.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+def test_only_variational_imports_scipy_sparse():
+    users = sorted(name for name, tree in _modules().items()
+                   if _imports_scipy_sparse(tree))
+    assert users == ["variational"]

@@ -203,7 +203,8 @@ def test_jacobi_bifurcation_matches_linearization():
     # S x = lambda W x equals n; the constant branch destabilizes at
     # A = (q - 2)/lambda_1
     space = build_space("jacobi", 2, 4.5, 256)
-    S = fv_stiffness(space).toarray()
+    main, off, _ = fv_stiffness(space)
+    S = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     W = np.diag(space.quad_weights)
     lam1 = sla.eigh(S, W, eigvals_only=True)[1]
     assert abs(lam1 - space.n) <= 5e-3 * space.n
@@ -214,3 +215,23 @@ def test_jacobi_bifurcation_matches_linearization():
     above = minimize_subcritical(space, 1.05 * a_bif, q, init)
     assert below.constancy > 0.1
     assert above.constancy <= 1e-6
+
+
+def test_circle_bifurcation_through_periodic_corners():
+    # on the circle lambda_1 = 1, so at q = 3 the constant branch
+    # destabilizes at A = q - 2 = 1; the preconditioner and the Newton
+    # polish both run through the stiffness's periodic corner entries
+    space = build_space("circle", 1, 3.0, 256)
+    init = space.field(1.0 + 0.4 * np.cos(space.grid))
+    below = minimize_subcritical(space, 0.95, 3.0, init)
+    above = minimize_subcritical(space, 1.05, 3.0, init)
+    assert below.converged and above.converged
+    assert below.constancy > 0.1
+    assert above.constancy <= 1e-6
+    # cut the descent short so that the polish has to converge
+    opts = MinimizeOptions(max_iter=50)
+    polished_below = minimize_subcritical(space, 0.95, 3.0, init, opts)
+    polished_above = minimize_subcritical(space, 1.05, 3.0, init, opts)
+    assert polished_below.iterations == polished_above.iterations == 50
+    assert abs(polished_below.constancy - below.constancy) <= 1e-6
+    assert polished_above.constancy <= 1e-6
