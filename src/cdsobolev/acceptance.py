@@ -322,8 +322,7 @@ def check_finite_dim_decay(out_dir=None, seed=0) -> CheckResult:
     series = []
     for rho in (0.5, 2.0):
         for m in (2, 5):
-            prob = FiniteDimProblem(dim=m, family="quadratic",
-                                    Q=rho * np.eye(m), rho=rho)
+            prob = FiniteDimProblem(Q=rho * np.eye(m), rho=rho)
             x0 = rng.uniform(-2.0, 2.0, m)
             trace = fd_flow(prob, x0, T=5.0, dt=0.005)
             logf = np.log(trace.entropy)
@@ -335,18 +334,12 @@ def check_finite_dim_decay(out_dir=None, seed=0) -> CheckResult:
             series.append((f"rho={rho}, m={m}", list(trace.times),
                            [float(x) for x in logf]))
     # run-to-convergence on the quartic family plus sampled margins
-    quartic = FiniteDimProblem(dim=3, family="quartic_perturbed",
-                               Q=2.0 * np.eye(3), rho=2.0, eps=0.1)
+    quartic = FiniteDimProblem(Q=2.0 * np.eye(3), rho=2.0, eps=0.1)
     qtrace = fd_flow(quartic, np.ones(3), T=20.0, dt=0.005)
     final_grad = float(np.sqrt(qtrace.grad_norm_sq[-1]))
-    min_margin = np.inf
-    for prob in (FiniteDimProblem(dim=3, family="quadratic",
-                                  Q=2.0 * np.eye(3), rho=2.0),
-                 FiniteDimProblem(dim=3, family="quartic_perturbed",
-                                  Q=2.0 * np.eye(3), rho=2.0, eps=0.05)):
-        pts = rng.uniform(-2.0, 2.0, (10000, prob.dim))
-        margins = [convexity_inequality_margin(prob, x) for x in pts]
-        min_margin = min(min_margin, min(margins))
+    min_margin = min(float(convexity_inequality_margin(
+        FiniteDimProblem(Q=2.0 * np.eye(3), rho=2.0, eps=eps),
+        rng.uniform(-2.0, 2.0, (10000, 3))).min()) for eps in (0.0, 0.05))
     if out_dir:
         write_csv(os.path.join(out_dir, "finite_dim.csv"),
                   ["family", "rho", "m", "slope", "slope_error", "final_grad"],

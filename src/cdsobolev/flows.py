@@ -3,7 +3,8 @@
 Two layers share one trace format.  The finite-dimensional layer integrates
 x' = -grad F(x) for strictly convex entropies F and certifies the convexity
 inequality  G(x*) <= |grad F(x)|^2/(2 rho) + G(x)  under the condition
-grad F . Hess F grad F >= -rho grad F . grad G.
+grad F . Hess F grad F >= -rho grad F . grad G, on one point or a batch of
+points (one per row), evaluating grad F once per point.
 
 The density layer runs the fast diffusion equation
 
@@ -20,7 +21,8 @@ so each Newton iteration of a step is one tridiagonal solve (cyclic on the
 circle).  The default step dt = 5e-3 is the one the dissipation-identity
 check admits; see ``fast_diffusion_flow``.  The Otto Hessian of R_alpha,
 its quadratic-form evaluation, and the convexity relation that reproduces
-the sharp Sobolev inequality are exposed as direct evaluators.
+the sharp Sobolev inequality are exposed as direct evaluators; a transport
+path stepped on raw arrays cross-checks the Hessian.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ import numpy as np
 from .errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
                      InvalidParameter, NoConvergence, NotAProbabilityDensity,
                      PositivityLost, StepUnstable, UnsupportedKind)
-from .model_space import (ModelSpace, ScalarField, _diff1, apply_L,
-                          apply_stiffness, fv_stiffness, gamma, gamma2,
-                          integrate, tridiagonal_solver)
+from .model_space import (ModelSpace, ScalarField, _apply_L, _diff1,
+                          apply_L, apply_stiffness, fv_stiffness, gamma,
+                          gamma2, integrate, tridiagonal_solver)
 from .sobolev import grad_norm_sq
 
 MASS_TOL = 1e-8
+MAX_RECORDS = 1000       # a flow records about this many states
 
 
 # ---------------------------------------------------------------------------
@@ -47,79 +50,69 @@ MASS_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FiniteDimProblem:
-    """Entropy F (quadratic or quartic-perturbed) with companion G.
+    """Entropy F(x) = x.Q.x/2 + eps * sum x_j^4 and companion (G, grad_G).
 
-    F(x) = x.Q.x/2 (+ eps * sum x_j^4).  By default G = F, for which the
-    convexity condition holds whenever Q >= rho * Id.
+    companion None means G = F, for which the convexity condition holds
+    whenever Q >= rho * Id.  F, grad_F, G and grad_G, and the companion's
+    callables, take one point (dim,) or a batch (m, dim).
     """
 
-    dim: int
-    family: str                      # "quadratic" | "quartic_perturbed"
     Q: np.ndarray
     rho: float
     eps: float = 0.0
-    g_choice: str = "same_as_F"      # "same_as_F" | "custom"
-    g_func: object = None
-    g_grad: object = None
+    companion: tuple | None = None
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        if Q.shape != (self.dim, self.dim):
-            raise InvalidConfig(f"Q must be {self.dim}x{self.dim}")
+        Q = np.array(self.Q, dtype=float)
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+            raise InvalidConfig(f"Q must be square, got shape {Q.shape}")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise InvalidConfig("Q must be symmetric")
-        if self.family not in ("quadratic", "quartic_perturbed"):
-            raise InvalidConfig(f"unknown family {self.family!r}")
         if self.eps < 0.0 or self.rho <= 0.0:
             raise InvalidConfig("need eps >= 0 and rho > 0")
-        if self.g_choice == "same_as_F":
+        if self.companion is None:
             lam_min = float(np.linalg.eigvalsh(Q).min())
             if lam_min < self.rho - 1e-12:
                 raise InvalidConfig(
                     f"eigmin(Q) = {lam_min} < rho = {self.rho}: the convexity "
                     "condition is not guaranteed with G = F")
-        elif self.g_choice == "custom":
-            if self.g_func is None or self.g_grad is None:
-                raise InvalidConfig("custom G needs g_func and g_grad")
-        else:
-            raise InvalidConfig(f"unknown g_choice {self.g_choice!r}")
+        elif not (len(self.companion) == 2
+                  and all(map(callable, self.companion))):
+            raise InvalidConfig("companion must be callables (G, grad_G)")
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
 
+    @property
+    def dim(self) -> int:
+        return self.Q.shape[0]
+
     # entropy and companion -------------------------------------------------
-    def F(self, x: np.ndarray) -> float:
+    def F(self, x):
         x = np.asarray(x, dtype=float)
-        val = 0.5 * float(x @ (self.Q @ x))
-        if self.family == "quartic_perturbed":
-            val += self.eps * float(np.sum(x ** 4))
+        # row-wise x.Qx, rounded as the one-point dot x @ (x @ Q)
+        val = 0.5 * (x[..., None, :] @ (x @ self.Q)[..., :, None])[..., 0, 0]
+        if self.eps > 0.0:
+            val = val + self.eps * np.sum(x ** 4, axis=-1)
         return val
 
-    def grad_F(self, x: np.ndarray) -> np.ndarray:
+    def grad_F(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        g = self.Q @ x
-        if self.family == "quartic_perturbed":
+        g = x @ self.Q
+        if self.eps > 0.0:
             g = g + 4.0 * self.eps * x ** 3
         return g
 
-    def hess_F(self, x: np.ndarray) -> np.ndarray:
-        H = np.array(self.Q)
-        if self.family == "quartic_perturbed":
-            H = H + np.diag(12.0 * self.eps * np.asarray(x) ** 2)
-        return H
+    def G(self, x):
+        G = self.F if self.companion is None else self.companion[0]
+        return G(np.asarray(x, dtype=float))
 
-    def G(self, x: np.ndarray) -> float:
-        if self.g_choice == "same_as_F":
-            return self.F(x)
-        return float(self.g_func(np.asarray(x, dtype=float)))
-
-    def grad_G(self, x: np.ndarray) -> np.ndarray:
-        if self.g_choice == "same_as_F":
-            return self.grad_F(x)
-        return np.asarray(self.g_grad(np.asarray(x, dtype=float)), dtype=float)
+    def grad_G(self, x) -> np.ndarray:
+        grad_G = self.grad_F if self.companion is None else self.companion[1]
+        return grad_G(np.asarray(x, dtype=float))
 
     @property
     def x_star(self) -> np.ndarray:
-        """Unique minimizer of the shipped coercive families."""
+        """Unique minimizer of the shipped coercive entropies."""
         return np.zeros(self.dim)
 
 
@@ -183,29 +176,29 @@ def _rk4_step(rhs, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def fd_flow(problem: FiniteDimProblem, x0, T: float, dt: float,
-            max_records: int = 1000) -> FlowTrace:
-    """RK4 integration of x' = -grad F(x) with Lyapunov monitoring."""
+def fd_flow(problem: FiniteDimProblem, x0, T: float, dt: float) -> FlowTrace:
+    """RK4 integration of x' = -grad F(x) with Lyapunov monitoring (F is
+    evaluated once per step)."""
     if dt <= 0.0 or T < dt:
         raise InvalidParameter("need dt > 0 and T >= dt")
     x = np.array(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise InvalidConfig(f"x0 must have shape ({problem.dim},)")
     nsteps = int(round(T / dt))
-    every = max(1, math.ceil(nsteps / max_records))
+    every = max(1, math.ceil(nsteps / MAX_RECORDS))
     rhs = lambda y: -problem.grad_F(y)
 
     times, ent, gn, comp, dist = [], [], [], [], []
 
-    def record(t, y):
+    def record(t, y, f):
         times.append(t)
-        ent.append(problem.F(y))
+        ent.append(f)
         gn.append(float(np.sum(problem.grad_F(y) ** 2)))
-        comp.append(problem.G(y))
+        comp.append(f if problem.companion is None else problem.G(y))
         dist.append(float(np.abs(y - problem.x_star).max()))
 
-    record(0.0, x)
-    f_prev = ent[0]
+    f_prev = problem.F(x)
+    record(0.0, x, f_prev)
     for k in range(1, nsteps + 1):
         x = _rk4_step(rhs, x, dt)
         f_now = problem.F(x)
@@ -214,28 +207,39 @@ def fd_flow(problem: FiniteDimProblem, x0, T: float, dt: float,
                 f"F increased from {f_prev} to {f_now} at step {k}")
         f_prev = f_now
         if k % every == 0 or k == nsteps:
-            record(k * dt, x)
+            record(k * dt, x, f_now)
 
     return _make_trace(times, ent, gn, comp, dist, steps=nsteps)
 
 
-def condition_215_margin(problem: FiniteDimProblem, x) -> float:
-    """grad F . Hess F grad F + rho grad F . grad G at x (>= 0 required)."""
+def _condition_margin(problem: FiniteDimProblem, x, g):
+    """g.(Hess F g + rho grad G) at x for g = grad F(x), Hess F unformed."""
+    grad_G = g if problem.companion is None else problem.grad_G(x)
+    v = g @ problem.Q + problem.rho * grad_G
+    if problem.eps > 0.0:
+        v = v + 12.0 * problem.eps * x * x * g
+    return np.sum(g * v, axis=-1)
+
+
+def condition_215_margin(problem: FiniteDimProblem, x):
+    """grad F . Hess F grad F + rho grad F . grad G at one point or each row
+    of a batch (>= 0 required)."""
+    x = np.asarray(x, dtype=float)
+    return _condition_margin(problem, x, problem.grad_F(x))
+
+
+def convexity_inequality_margin(problem: FiniteDimProblem, x):
+    """|grad F(x)|^2/(2 rho) + G(x) - G(x*) at one point or each row of a
+    batch; raises ``ConditionViolated`` where the condition fails."""
     x = np.asarray(x, dtype=float)
     g = problem.grad_F(x)
-    return float(g @ (problem.hess_F(x) @ g)
-                 + problem.rho * np.dot(g, problem.grad_G(x)))
-
-
-def convexity_inequality_margin(problem: FiniteDimProblem, x) -> float:
-    """|grad F(x)|^2/(2 rho) + G(x) - G(x*); nonnegative under the condition."""
-    x = np.asarray(x, dtype=float)
-    cm = condition_215_margin(problem, x)
-    scale = 1.0 + float(np.sum(problem.grad_F(x) ** 2))
-    if cm < -1e-10 * scale:
+    g2 = np.sum(g * g, axis=-1)
+    cm = _condition_margin(problem, x, g)
+    failed = cm < -1e-10 * (1.0 + g2)
+    if np.any(failed):
         raise ConditionViolated(
-            f"convexity condition fails at x (margin {cm})")
-    g2 = float(np.sum(problem.grad_F(x) ** 2))
+            f"convexity condition fails at {np.count_nonzero(failed)} of "
+            f"{failed.size} points (min margin {np.min(cm)})")
     return g2 / (2.0 * problem.rho) + problem.G(x) - problem.G(problem.x_star)
 
 
@@ -305,29 +309,30 @@ def renyi_hessian_quadform(space: ModelSpace, mu: ScalarField, alpha: float,
 
 
 def hessian_second_derivative(space: ModelSpace, mu: ScalarField,
-                              alpha: float, phi: ScalarField,
-                              s: float = 5e-3, steps: int = 8) -> float:
+                              alpha: float, phi: ScalarField) -> float:
     """Independent check of the Hessian formula by path differentiation.
 
     Transports mu along the geodesic-type path with initial velocity
     grad phi: the density obeys the continuity equation and the potential
-    the Hamilton-Jacobi equation.  Returns the centered second difference
-    (R(s) + R(-s) - 2 R(0)) / s^2 of the Renyi entropy along that path.
+    the Hamilton-Jacobi equation, stepped on raw arrays to s = +-5e-3.
+    Returns the centered second difference (R(s) + R(-s) - 2 R(0)) / s^2 of
+    the Renyi entropy; raises ``InvalidConfig`` if the path blows up.
     """
     _check_alpha(alpha)
     _check_density(space, mu)
+    s, steps = 5e-3, 8
 
     def rhs(state):
         m, p = state
-        mf, pf = space.field(m), space.field(p)
-        div = gamma(space, mf, pf).values + m * apply_L(space, pf).values
-        return np.stack([-div, -0.5 * gamma(space, pf, pf).values])
+        dp = _diff1(space, p)
+        div = _diff1(space, m) * dp + m * _apply_L(space, p, dp)
+        return np.stack([-div, -0.5 * (dp * dp)])
 
     def evolve(sign):
         state = np.stack([mu.values, phi.values])
         for _ in range(steps):
             state = _rk4_step(rhs, state, sign * s / steps)
-        return state[0]
+        return space.field(state[0]).values  # InvalidConfig on a blow-up
 
     r0 = _renyi_raw(space, mu.values, alpha)
     rp = _renyi_raw(space, evolve(+1.0), alpha)
@@ -344,7 +349,6 @@ class FlowOptions:
     dt: float = 5e-3
     floor: float = 1e-8
     grad_stop: float = 1e-12
-    max_records: int = 1000
 
 
 NEWTON_MAX_ITER = 20
@@ -392,7 +396,7 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
     per iteration (see ``_midpoint_step``).  The default dt = 5e-3 is set by
     the dissipation gate of ``check_fast_diffusion_flow``: the residual
     |dR/dt + |grad R|^2| is measured by centered differences over the
-    record spacing, which is dt while T/dt <= max_records, and is 3.2e-4
+    record spacing, which is dt while T/dt <= MAX_RECORDS, and is 3.2e-4
     relative at dt = 5e-3 but 1.2e-3 (above the 1e-3 gate) at dt = 1e-2.
     The flow stops at T or once |grad R_alpha|^2 falls below
     ``opts.grad_stop`` at a record.
@@ -412,7 +416,7 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
     bands = tuple(0.5 * dt * band for band in fv_stiffness(space))
     w = space.quad_weights
     beta = 2.0 * alpha - 1.0
-    every = max(1, math.ceil(nsteps / opts.max_records))
+    every = max(1, math.ceil(nsteps / MAX_RECORDS))
 
     times, ent, gn, comp, dist, mass = [], [], [], [], [], []
 

@@ -182,11 +182,17 @@ def integrate(space: ModelSpace, f: ScalarField) -> float:
     return float(np.dot(space.quad_weights, f.values))
 
 
+def _apply_L(space: ModelSpace, v: np.ndarray, dv=None) -> np.ndarray:
+    """L v = v'' - W' v' on raw values; ``dv`` is v' if the caller has it."""
+    if dv is None:
+        dv = _diff1(space, v)
+    return _diff2(space, v) - _drift(space) * dv
+
+
 def apply_L(space: ModelSpace, f: ScalarField) -> ScalarField:
     """Generator L f = f'' - W' f'."""
     _check_same_space(space, f)
-    v = f.values
-    return space.field(_diff2(space, v) - _drift(space) * _diff1(space, v))
+    return space.field(_apply_L(space, f.values))
 
 
 def gamma(space: ModelSpace, f: ScalarField, g: ScalarField) -> ScalarField:
@@ -198,10 +204,9 @@ def gamma(space: ModelSpace, f: ScalarField, g: ScalarField) -> ScalarField:
 def gamma2(space: ModelSpace, f: ScalarField) -> ScalarField:
     """Iterated carre du champ Gamma_2(f) = L(Gamma(f))/2 - Gamma(f, Lf)."""
     _check_same_space(space, f)
-    gf = gamma(space, f, f)
-    lf = apply_L(space, f)
-    half_l_gamma = 0.5 * apply_L(space, gf).values
-    return space.field(half_l_gamma - gamma(space, f, lf).values)
+    df = _diff1(space, f.values)
+    lf = _apply_L(space, f.values, df)
+    return space.field(0.5 * _apply_L(space, df * df) - df * _diff1(space, lf))
 
 
 def ibp_residual(space: ModelSpace, u: ScalarField, v: ScalarField) -> float:

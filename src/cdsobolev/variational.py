@@ -44,9 +44,6 @@ from .sobolev import a_star, critical_exponent, grad_norm_sq
 class MinimizeOptions:
     grad_tol: float = 1e-9      # on the sup-norm of the projected gradient
     max_iter: int = 50000
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    step0: float = 1.0
     raise_on_failure: bool = True
     record_energy: bool = False
 
@@ -205,7 +202,7 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
             break
         direction = solve(pg)
         slope = float(np.dot(pg, direction))
-        t = opts.step0
+        t = 1.0  # backtrack from the unit step, halving
         accepted = False
         # roundoff allowance: near the poles a genuine pointwise residual can
         # carry an energy decrease below the quadrature's roundoff floor
@@ -213,10 +210,10 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
         while t > 1e-14:
             u = project(v - t * direction)
             eu = energy(u)
-            if eu <= e - opts.armijo * t * slope + slack:
+            if eu <= e - 1e-4 * t * slope + slack:  # Armijo
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= 0.5
         if not accepted or (t < 1e-8 and eu >= e):
             break  # energy signal below roundoff: hand off to the polish
         v, e = u, eu

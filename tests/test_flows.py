@@ -15,7 +15,7 @@ from cdsobolev.flows import (FiniteDimProblem, FlowOptions, _rk4_step,
                              entropy_inequality_margin, fast_diffusion_flow,
                              fd_flow, hessian_second_derivative, renyi_entropy,
                              renyi_grad_norm_sq, renyi_hessian_quadform)
-from cdsobolev.model_space import weighted_laplacian_fv
+from cdsobolev.model_space import apply_L, gamma, weighted_laplacian_fv
 from cdsobolev.sobolev import critical_exponent, sobolev_deficit
 
 
@@ -30,23 +30,25 @@ def normalized(space, raw):
 
 # ----------------------------------------------------------------- finite-dim
 
+# G = -5|y|^2: the convexity condition fails wherever grad F != 0
+_BAD_COMPANION = (lambda y: -5.0 * np.sum(y * y, axis=-1),
+                  lambda y: -10.0 * y)
+
+
 def test_problem_validation():
     with pytest.raises(InvalidConfig):
-        FiniteDimProblem(dim=2, family="quadratic",
-                         Q=np.array([[1.0, 0.5], [0.4, 1.0]]), rho=0.5)
+        FiniteDimProblem(Q=np.array([[1.0, 0.5], [0.4, 1.0]]), rho=0.5)
     with pytest.raises(InvalidConfig):
-        FiniteDimProblem(dim=2, family="quadratic", Q=0.5 * np.eye(2), rho=2.0)
+        FiniteDimProblem(Q=0.5 * np.eye(2), rho=2.0)
     with pytest.raises(InvalidConfig):
-        FiniteDimProblem(dim=2, family="cubic", Q=np.eye(2), rho=0.5)
+        FiniteDimProblem(Q=np.eye(2), rho=0.5, companion=(lambda y: 0.0,))
     with pytest.raises(InvalidConfig):
-        FiniteDimProblem(dim=2, family="quadratic", Q=np.eye(2), rho=0.5,
-                         g_choice="custom")
+        FiniteDimProblem(Q=np.ones((2, 3)), rho=0.5)
 
 
 def test_quadratic_exact_decay():
     rho = 2.0
-    prob = FiniteDimProblem(dim=3, family="quadratic", Q=rho * np.eye(3),
-                            rho=rho)
+    prob = FiniteDimProblem(Q=rho * np.eye(3), rho=rho)
     x0 = np.array([1.0, -0.5, 0.25])
     trace = fd_flow(prob, x0, T=2.0, dt=0.002)
     expected = prob.F(x0) * np.exp(-2.0 * rho * trace.times)
@@ -54,32 +56,41 @@ def test_quadratic_exact_decay():
 
 
 def test_stationary_at_minimizer():
-    prob = FiniteDimProblem(dim=2, family="quadratic", Q=np.eye(2), rho=1.0)
+    prob = FiniteDimProblem(Q=np.eye(2), rho=1.0)
     trace = fd_flow(prob, prob.x_star, T=1.0, dt=0.01)
     assert np.abs(trace.entropy).max() == 0.0
     assert np.abs(trace.grad_norm_sq).max() == 0.0
 
 
 def test_lyapunov_and_terminal_gradient():
-    prob = FiniteDimProblem(dim=3, family="quartic_perturbed",
-                            Q=2.0 * np.eye(3), rho=2.0, eps=0.1)
+    prob = FiniteDimProblem(Q=2.0 * np.eye(3), rho=2.0, eps=0.1)
     trace = fd_flow(prob, np.ones(3), T=20.0, dt=0.005)
     e = trace.entropy
     assert np.all(np.diff(e) <= 1e-12 * (1.0 + np.abs(e[:-1])))
     assert np.sqrt(trace.grad_norm_sq[-1]) <= 1e-8
 
 
+def test_fd_flow_companion_column():
+    trace = fd_flow(FiniteDimProblem(Q=np.eye(2), rho=1.0), np.ones(2),
+                    T=1.0, dt=0.01)
+    assert np.array_equal(trace.companion, trace.entropy)  # G = F
+    custom = fd_flow(FiniteDimProblem(Q=np.eye(2), rho=1.0,
+                                      companion=_BAD_COMPANION),
+                     np.ones(2), T=1.0, dt=0.01)
+    assert np.array_equal(custom.entropy, trace.entropy)
+    assert np.allclose(custom.companion, -10.0 * trace.entropy,
+                       rtol=1e-13, atol=0.0)
+
+
 def test_step_unstable_detected():
-    prob = FiniteDimProblem(dim=1, family="quadratic", Q=2.0 * np.eye(1),
-                            rho=2.0)
+    prob = FiniteDimProblem(Q=2.0 * np.eye(1), rho=2.0)
     with pytest.raises(StepUnstable):
         fd_flow(prob, np.array([1.0]), T=4.0, dt=2.0)
 
 
 def test_condition_margin():
     rho = 1.5
-    prob = FiniteDimProblem(dim=2, family="quadratic", Q=2.0 * np.eye(2),
-                            rho=rho)
+    prob = FiniteDimProblem(Q=2.0 * np.eye(2), rho=rho)
     x = np.array([0.3, -0.7])
     g2 = float(np.sum(prob.grad_F(x) ** 2))
     assert condition_215_margin(prob, x) >= 2.0 * rho * g2 - 1e-12
@@ -87,18 +98,40 @@ def test_condition_margin():
 
 
 def test_convexity_margin_and_violation():
-    prob = FiniteDimProblem(dim=2, family="quadratic", Q=np.eye(2), rho=1.0)
+    prob = FiniteDimProblem(Q=np.eye(2), rho=1.0)
     assert convexity_inequality_margin(prob, prob.x_star) == 0.0
     x = np.array([0.5, -1.0])
     # F = G = |x|^2/2, rho = 1: margin is exactly |x|^2
     assert abs(convexity_inequality_margin(prob, x)
                - float(np.sum(x ** 2))) <= 1e-14
-    bad = FiniteDimProblem(dim=2, family="quadratic", Q=np.eye(2), rho=1.0,
-                           g_choice="custom",
-                           g_func=lambda y: -5.0 * float(y @ y),
-                           g_grad=lambda y: -10.0 * y)
+    bad = FiniteDimProblem(Q=np.eye(2), rho=1.0, companion=_BAD_COMPANION)
     with pytest.raises(ConditionViolated):
         convexity_inequality_margin(bad, x)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_batch_margins_match_rows(dim, eps):
+    rng = np.random.default_rng(dim)
+    A = rng.uniform(-1.0, 1.0, (dim, dim))
+    prob = FiniteDimProblem(Q=A @ A.T + np.eye(dim), rho=1.0, eps=eps)
+    pts = rng.uniform(-2.0, 2.0, (50, dim))
+    for fn in (condition_215_margin, convexity_inequality_margin):
+        batch = fn(prob, pts)
+        rows = np.array([fn(prob, x) for x in pts])
+        assert batch.shape == (50,)
+        assert np.all(np.abs(batch - rows) <= 1e-14 * np.abs(rows))
+        assert isinstance(fn(prob, pts[0]), float)
+    for fn in (prob.F, prob.G):
+        assert np.allclose(fn(pts), [fn(x) for x in pts], rtol=1e-14, atol=0)
+    # one violating row in a batch is enough to raise
+    bad = FiniteDimProblem(Q=np.eye(dim), rho=1.0, eps=eps,
+                           companion=_BAD_COMPANION)
+    mixed = np.zeros((4, dim))
+    mixed[2] = pts[0]
+    assert np.all(convexity_inequality_margin(bad, mixed[:2]) == 0.0)
+    with pytest.raises(ConditionViolated, match="1 of 4"):
+        convexity_inequality_margin(bad, mixed)
 
 
 def test_rk4_fourth_order():
@@ -168,6 +201,46 @@ def test_hessian_matches_path_second_derivative(sphere):
         quad = renyi_hessian_quadform(sphere, mu, alpha, phi)
         path = hessian_second_derivative(sphere, mu, alpha, phi)
         assert abs(quad - path) <= 1e-3 * max(abs(quad), 1e-12)
+
+
+def _reference_path_second_derivative(space, mu, alpha, phi):
+    """The transport path built from the public field operators."""
+    def rhs(state):
+        mf, pf = space.field(state[0]), space.field(state[1])
+        div = gamma(space, mf, pf).values + state[0] * apply_L(space, pf).values
+        return np.stack([-div, -0.5 * gamma(space, pf, pf).values])
+
+    def renyi(m):
+        return float(np.dot(space.quad_weights, m ** alpha)
+                     / (alpha * (alpha - 1.0)))
+
+    s, steps = 5e-3, 8
+    ends = []
+    for sign in (1.0, -1.0):
+        state = np.stack([mu.values, phi.values])
+        for _ in range(steps):
+            state = _rk4_step(rhs, state, sign * s / steps)
+        ends.append(renyi(state[0]))
+    return (ends[0] + ends[1] - 2.0 * renyi(mu.values)) / (s * s)
+
+
+@pytest.mark.parametrize("N", [128, 1024])
+@pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
+                                      ("jacobi", 2, 4.5), ("circle", 1, 1.0)])
+def test_path_second_derivative_matches_reference_bitwise(kind, d, n, N):
+    space = build_space(kind, d, n, N)
+    rng = np.random.default_rng(N)
+    mu = normalized(space, trig_poly_field(space, rng, amplitude=0.3).values)
+    phi = trig_poly_field(space, rng, degree=3)
+    got = hessian_second_derivative(space, mu, 2.0 / 3.0, phi)
+    assert got == _reference_path_second_derivative(space, mu, 2.0 / 3.0, phi)
+
+
+def test_path_blowup_is_invalid_config(sphere):
+    mu = sphere.field(np.ones(256))
+    phi = sphere.field(1e3 * np.cos(sphere.grid))
+    with np.errstate(all="ignore"), pytest.raises(InvalidConfig):
+        hessian_second_derivative(sphere, mu, 0.5, phi)
 
 
 def test_hessian_positivity_under_cd():
@@ -300,7 +373,7 @@ def test_flow_telemetry(sphere):
     summary = fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.05).summary()
     assert summary["steps"] == 10 and summary["stop_reason"] == "T"
     assert 10 <= summary["newton_iterations"] <= 40
-    prob = FiniteDimProblem(dim=2, family="quadratic", Q=np.eye(2), rho=1.0)
+    prob = FiniteDimProblem(Q=np.eye(2), rho=1.0)
     summary = fd_flow(prob, np.ones(2), T=1.0, dt=0.01).summary()
     assert (summary["steps"], summary["newton_iterations"],
             summary["stop_reason"]) == (100, 0, "T")

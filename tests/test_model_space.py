@@ -120,6 +120,20 @@ def test_gamma2_refinement_second_order():
     assert errs[256] / errs[512] >= 3.0
 
 
+@pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
+                                      ("jacobi", 2, 4.5), ("circle", 1, 1.0)])
+@pytest.mark.parametrize("N", [128, 1024])
+def test_gamma2_matches_operator_composition(kind, d, n, N):
+    space = build_space(kind, d, n, N)
+    rng = np.random.default_rng(N)
+    f = space.field(sum(c * np.cos(k * space.grid)
+                        for k, c in enumerate(rng.uniform(-1, 1, 4))))
+    lf = apply_L(space, f)
+    composed = (0.5 * apply_L(space, gamma(space, f, f)).values
+                - gamma(space, f, lf).values)
+    assert np.array_equal(gamma2(space, f).values, composed)
+
+
 def test_moment_oracles():
     space = build_space("sphere_radial", 3, 3.0, 256)
     c = space.field_from_function(np.cos)

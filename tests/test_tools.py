@@ -1,0 +1,50 @@
+"""tools/compare_artifacts.py: same / moved / missing and the exit code."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
+_spec = importlib.util.spec_from_file_location("compare_artifacts", _PATH)
+compare_artifacts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_artifacts)
+
+
+def _write(root: Path, files: dict):
+    for name, text in files.items():
+        (root / name).write_text(text)
+
+
+def test_compare_artifacts(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    _write(parent, {"a.csv": "x,1.5\n", "b.csv": "y,2.0,3e-22\n",
+                    "timing.json": "{\"t\": 1}"})
+    _write(change, {"a.csv": "x,1.5\n", "b.csv": "y,2.5,1e-22\n",
+                    "timing.json": "{\"t\": 2}"})
+    assert compare_artifacts.main([str(parent), str(change)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "same     a.csv"
+    # 3e-22 -> 1e-22 is the largest change; 2.0 -> 2.5 the largest >= 1e-6
+    assert out[1].startswith("moved    b.csv: max rel change 0.667; "
+                             "over |x| >= 1e-06: 0.2")
+    assert len(out) == 2
+
+    (change / "c.svg").write_text("<svg/>")
+    assert compare_artifacts.main([str(parent), str(change)]) == 1
+    assert "missing  c.svg (only in" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old,new,note", [
+    ("rho=1 ok", "rho=1 bad", "text differs outside numbers"),
+    ("1,2", "1,2,3", "2 vs 3 numbers"),
+])
+def test_moved_report_flags_structure(old, new, note):
+    assert note in compare_artifacts.moved_report(old, new)
+
+
+def test_usage_error(tmp_path, capsys):
+    assert compare_artifacts.main([str(tmp_path)]) == 2
+    assert "usage" in capsys.readouterr().err
