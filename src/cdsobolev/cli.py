@@ -83,16 +83,17 @@ def _number_list(block: dict, key: str, default, context: str) -> list:
 
 
 def _init_and_options(cfg: dict, space: ModelSpace):
-    """The cosine-bump start profile and the descent options of a config."""
+    """The cosine-bump start profile and the minimizer options of a config."""
     init_spec = cfg.get("init", {"kind": "cosine_bump", "amplitude": 0.4})
     _check_keys(init_spec, {"kind", "amplitude"}, "init")
     if init_spec.get("kind", "cosine_bump") != "cosine_bump":
         raise InvalidConfig(f"unknown init kind {init_spec['kind']!r}")
     amp = _number(init_spec, "amplitude", 0.4, "init")
     init = space.field(1.0 + amp * np.cos(space.grid))
-    opts = MinimizeOptions(grad_tol=_number(cfg, "tol", 1e-9, "config"),
-                           max_iter=_integer(cfg, "max_iter", 50000, "config"),
-                           raise_on_failure=False)
+    opts = MinimizeOptions(
+        tol=_number(cfg, "tol", MinimizeOptions.tol, "config"),
+        max_iter=_integer(cfg, "max_iter", MinimizeOptions.max_iter, "config"),
+        raise_on_failure=False)
     return init, opts
 
 
@@ -224,7 +225,8 @@ def _cmd_minimize(cfg, out, seed, resolution):
     return [
         acceptance.CheckResult("minimize_converged", rep.converged,
                                float(rep.iterations), float(opts.max_iter),
-                               "descent plus stationarity polish"),
+                               f"backward error {rep.backward_error:.3e} "
+                               f"(tol {opts.tol:.0e})"),
         acceptance.CheckResult("constraint_unit_lq_norm", norm_err <= 1e-10,
                                norm_err, 1e-10, "| ||v||_q - 1 |"),
         acceptance.CheckResult("minimizer_nonnegative",

@@ -53,8 +53,9 @@ class FiniteDimProblem:
     """Entropy F(x) = x.Q.x/2 + eps * sum x_j^4 and companion (G, grad_G).
 
     companion None means G = F, for which the convexity condition holds
-    whenever Q >= rho * Id.  F, grad_F, G and grad_G, and the companion's
-    callables, take one point (dim,) or a batch (m, dim).
+    whenever Q >= rho * Id; with a companion Q need only be positive
+    definite, so that x* = 0 minimizes F.  F, grad_F, G and grad_G, and the
+    companion's callables, take one point (dim,) or a batch (m, dim).
     """
 
     Q: np.ndarray
@@ -70,14 +71,17 @@ class FiniteDimProblem:
             raise InvalidConfig("Q must be symmetric")
         if self.eps < 0.0 or self.rho <= 0.0:
             raise InvalidConfig("need eps >= 0 and rho > 0")
-        if self.companion is None:
-            lam_min = float(np.linalg.eigvalsh(Q).min())
-            if lam_min < self.rho - 1e-12:
-                raise InvalidConfig(
-                    f"eigmin(Q) = {lam_min} < rho = {self.rho}: the convexity "
-                    "condition is not guaranteed with G = F")
-        elif not (len(self.companion) == 2
-                  and all(map(callable, self.companion))):
+        lam_min = float(np.linalg.eigvalsh(Q).min())
+        if self.companion is None and lam_min < self.rho - 1e-12:
+            raise InvalidConfig(
+                f"eigmin(Q) = {lam_min} < rho = {self.rho}: the convexity "
+                "condition is not guaranteed with G = F")
+        if lam_min <= 0.0:
+            raise InvalidConfig(f"eigmin(Q) = {lam_min} <= 0: x* = 0 is not "
+                                "the minimizer of F")
+        if self.companion is not None and not (
+                len(self.companion) == 2
+                and all(map(callable, self.companion))):
             raise InvalidConfig("companion must be callables (G, grad_G)")
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)

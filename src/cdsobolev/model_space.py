@@ -32,6 +32,7 @@ from .errors import InvalidConfig, SingularMatrix, SpaceMismatch
 KINDS = ("sphere_radial", "jacobi", "circle")
 
 MIN_RESOLUTION = 16
+MAX_RESOLUTION = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,9 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
     """
     if kind not in KINDS:
         raise InvalidConfig(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if resolution < MIN_RESOLUTION:
-        raise InvalidConfig(f"resolution {resolution} < {MIN_RESOLUTION}")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise InvalidConfig(f"resolution {resolution} outside "
+                            f"[{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
     d = int(d)
     n = float(n)
     if d < 1:
@@ -245,8 +247,7 @@ def fv_stiffness(space: ModelSpace) -> tuple[np.ndarray, np.ndarray, float]:
 
 def apply_stiffness(bands, v: np.ndarray) -> np.ndarray:
     """S v by the 3-point stencil.  Rows add lower, main, upper terms in
-    that order, as a CSC matvec does: off the circle this is bit-identical
-    to scipy's ``S @ v``, which pins the roundoff-chaotic descent."""
+    that order; artifacts computed with S depend on it to the last bit."""
     main, off, corner = bands
     out = main * v
     out[1:] += off * v[:-1]

@@ -4,10 +4,11 @@ For A > 0 and a strictly subcritical exponent q we minimize
 
     I(A) = inf { A ||grad v||_2^2 + ||v||_2^2 : ||v||_q = 1, v in H^1 }
 
-by preconditioned projected gradient descent, with an absolute-value
-positivity projection and renormalization after every step.  A converged
-minimizer v is rescaled by mu^{1/(q-2)} (mu the Lagrange multiplier, equal
-to the minimum value) so that it solves -A L v + v = v^{q-1} cleanly.
+by one globalized bordered Newton loop (``minimize_subcritical``), with an
+absolute-value positivity projection and renormalization after every step.
+A converged minimizer v is rescaled by mu^{1/(q-2)} (mu the Lagrange
+multiplier, equal to the minimum value) so that it solves -A L v + v =
+v^{q-1} cleanly.
 
 The pressure function Phi = v^{-(q-2)/2} then satisfies
 
@@ -29,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (InvalidConfig, InvalidExponent, InvalidParameter,
-                     NoConvergence, NonPositiveField)
+                     NoConvergence, NonPositiveField, SingularMatrix)
 from .model_space import (ModelSpace, ScalarField, apply_L, apply_stiffness,
                           fv_stiffness, gamma, gamma2, integrate,
                           tridiagonal_solver)
@@ -42,7 +41,7 @@ from .sobolev import a_star, critical_exponent, grad_norm_sq
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    grad_tol: float = 1e-9      # on the sup-norm of the projected gradient
+    tol: float = 1e-13          # on the componentwise backward error
     max_iter: int = 50000
     raise_on_failure: bool = True
     record_energy: bool = False
@@ -61,6 +60,8 @@ class MinimizerReport:
     constancy: float
     iterations: int
     converged: bool
+    backward_error: float
+    newton_steps: int
     energy_trace: tuple = ()
 
     def to_json_dict(self) -> dict:
@@ -70,6 +71,8 @@ class MinimizerReport:
             "el_residual_norm": self.el_residual_norm,
             "constancy": self.constancy, "iterations": self.iterations,
             "converged": self.converged,
+            "backward_error": self.backward_error,
+            "newton_steps": self.newton_steps,
         }
 
 
@@ -119,43 +122,22 @@ def el_solution(v: np.ndarray, i_value: float, q: float) -> np.ndarray:
     return i_value ** (1.0 / (q - 2.0)) * v
 
 
-def _newton_polish(bands, w, A, q, v, kappa, tol_abs, max_steps=12):
-    """Drive the constrained stationarity system to machine precision.
-
-    Solves 2(A S + W) v = kappa q W v^{q-1}, sum w v^q = 1 by a bordered
-    Newton iteration.  Run only after the descent phase has localized the
-    minimizer; takes over where energy comparisons drown in roundoff.  The
-    bordered system [[H, -g], [g^T, 0]], g = q w v^{q-1}, is solved by block
-    elimination on the tridiagonal H: H [a b] = [-res_v, g], then
-    dv = a + b dkappa.
-    """
-    main, off, corner = ((2.0 * A) * band for band in bands)
-    best_v, best_kappa, best_res = v, kappa, np.inf
-    for _ in range(max_steps):
-        cg = q * w * v ** (q - 1.0)
-        grad = 2.0 * (A * apply_stiffness(bands, v) + w * v)
-        res_v = grad - kappa * cg
-        res_c = np.dot(w, v ** q) - 1.0
-        res = max(float(np.abs(res_v / w).max()), abs(res_c))
-        if res < best_res:
-            best_v, best_kappa, best_res = v, kappa, res
-        if res < tol_abs or res > 10.0 * best_res:
-            break
-        diag = main + (2.0 * w - kappa * q * (q - 1.0) * w * v ** (q - 2.0))
-        a, b = tridiagonal_solver(off, diag, off, (corner, corner))(
-            np.column_stack([-res_v, cg])).T
-        d_kappa = (-res_c - np.dot(cg, a)) / np.dot(cg, b)
-        v = v + (a + d_kappa * b)
-        kappa = kappa + d_kappa
-        if v.min() <= 0.0:
-            break
-    return best_v, best_kappa, best_res
-
-
 def minimize_subcritical(space: ModelSpace, A: float, q: float,
                          init: ScalarField,
                          opts: MinimizeOptions | None = None) -> MinimizerReport:
-    """Minimize A ||grad v||^2 + ||v||^2 on the sphere {||v||_q = 1}."""
+    """Minimize A ||grad v||^2 + ||v||^2 on the sphere {||v||_q = 1}.
+
+    One loop on r = grad E - kappa grad C (C = sum w v^q, kappa by least
+    squares) stops once the componentwise backward error (Oettli-Prager)
+    beta = max_i |r_i| / (2A|S||v| + 2w|v| + |kappa| q w |v|^{q-1})_i, whose
+    roundoff floor does not grow with N, is at most ``opts.tol``.  It steps
+    by bordered Newton (H [a b] = [-r, grad C] on the tridiagonal Hessian H)
+    when r.dv < 0 < dv.H dv, else by -M^{-1} r, M = 2A S + 2W, which keeps
+    it off saddles such as the constant below the bifurcation.  An Armijo
+    search on the energy of the projected iterate (|v|, renormalized)
+    globalizes both; where the energy resolves no decrease the whole Newton
+    step is taken if it lowers beta.
+    """
     opts = opts or MinimizeOptions()
     if A <= 0.0:
         raise InvalidParameter(f"A = {A} must be positive")
@@ -169,78 +151,87 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
 
     w = space.quad_weights
     bands = fv_stiffness(space)
+    abs_bands = tuple(np.abs(band) for band in bands)
     main, off, corner = ((2.0 * A) * band for band in bands)
-    # the preconditioner M = 2A S + 2W stays on SuperLU (a zero corner adds
-    # no entry): the descent is chaotic at roundoff, and M factored by
-    # tridiagonal_solver takes the N=2048, A=0.05 scan point from about a
-    # hundred iterations to the 50,000 cap
-    solve = spla.splu(sp.diags([off, main + 2.0 * w, off, [corner], [corner]],
-                               [-1, 0, 1, len(w) - 1, 1 - len(w)],
-                               format="csc")).solve
+    precond = tridiagonal_solver(off, main + 2.0 * w, off, (corner, corner))
 
     def energy(v):
         return float(A * (v @ apply_stiffness(bands, v)) + np.dot(w, v * v))
 
     def project(v):
         v = np.abs(v)
-        nrm = np.dot(w, v ** q) ** (1.0 / q)
-        return v / nrm
+        return v / np.dot(w, v ** q) ** (1.0 / q)
+
+    def stationarity(v):
+        """(residual, constraint gradient, kappa, backward error) at v >= 0."""
+        grad = 2.0 * (A * apply_stiffness(bands, v) + w * v)
+        cgrad = q * w * v ** (q - 1.0)
+        kappa = float(np.dot(grad, cgrad) / np.dot(cgrad, cgrad))
+        r = grad - kappa * cgrad
+        scale = (2.0 * A) * apply_stiffness(abs_bands, v) + 2.0 * w * v \
+            + abs(kappa) * cgrad
+        # a cell whose residual underflows (0 included, where v vanishes
+        # around it) is exact: there r_i and its scale are roundoff alone
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(r) / scale
+        return r, cgrad, kappa, float(np.max(
+            ratio, initial=0.0, where=np.abs(r) >= np.finfo(float).tiny))
+
+    # H is solved in the rows of W^{-1} H, which share the scale of -2A L:
+    # on H itself gttrf swaps the tiny pole rows and loses the pole cells
+    lower, upper, corners = off / w[1:], off / w[:-1], (corner / w[0],
+                                                        corner / w[-1])
+
+    def newton_step(v, r, cgrad, kappa):
+        diag = main / w + 2.0 - kappa * q * (q - 1.0) * v ** (q - 2.0)
+        try:
+            solve = tridiagonal_solver(lower, diag, upper, corners)
+        except SingularMatrix:
+            return None, 0.0
+        a, b = solve(np.column_stack([-r, cgrad]) / w[:, None]).T
+        d_kappa = (1.0 - w @ v ** q - cgrad @ a) / (cgrad @ b)
+        dv = a + d_kappa * b
+        # H dv = d_kappa grad C - r, so dv.H dv needs no product with H
+        return dv, float(dv @ (d_kappa * cgrad - r))
 
     v = project(init.values)
     e = energy(v)
     trace = [e] if opts.record_energy else None
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        grad = 2.0 * (A * apply_stiffness(bands, v) + w * v)
-        cgrad = q * w * v ** (q - 1.0)
-        coef = float(np.dot(grad, cgrad) / np.dot(cgrad, cgrad))
-        pg = grad - coef * cgrad
-        pg_sup = float(np.abs(pg / w).max())
-        if pg_sup < opts.grad_tol * (1.0 + abs(e)):
-            converged = True
+    newton_steps = 0
+    for it in range(opts.max_iter + 1):
+        r, cgrad, kappa, beta = stationarity(v)
+        if beta <= opts.tol or it == opts.max_iter:
             break
-        direction = solve(pg)
-        slope = float(np.dot(pg, direction))
-        t = 1.0  # backtrack from the unit step, halving
-        accepted = False
+        newton, curvature = newton_step(v, r, cgrad, kappa)
+        is_newton = newton is not None and bool(r @ newton < 0.0 < curvature)
+        step = newton if is_newton else -precond(r)
+        slope = float(r @ step)
         # roundoff allowance: near the poles a genuine pointwise residual can
         # carry an energy decrease below the quadrature's roundoff floor
         slack = 1e-15 * (1.0 + abs(e))
-        while t > 1e-14:
-            u = project(v - t * direction)
+        t = 1.0
+        while t >= 1e-8:  # Armijo, backtracking from the unit step by halving
+            u = project(v + t * step)
             eu = energy(u)
-            if eu <= e - 1e-4 * t * slope + slack:  # Armijo
-                accepted = True
+            if eu <= e + 1e-4 * t * slope + slack:
                 break
             t *= 0.5
-        if not accepted or (t < 1e-8 and eu >= e):
-            break  # energy signal below roundoff: hand off to the polish
+        if t < 1e-8 or eu >= e:
+            # the energy resolves no decrease: keep the whole Newton step
+            # only if it brings the iterate closer to stationarity
+            u = None if newton is None else project(v + newton)
+            if u is None or not stationarity(u)[3] < beta:
+                break
+            eu, is_newton = energy(u), True
         v, e = u, eu
+        newton_steps += is_newton
         if trace is not None:
             trace.append(e)
 
-    if not converged:
-        # Newton iteration on the stationarity system takes over where the
-        # line search drowns in quadrature roundoff (the projected-gradient
-        # sup-norm weights the pole cells by ~1/w and stalls near 1e-6
-        # while energy differences are already below machine precision).
-        grad = 2.0 * (A * apply_stiffness(bands, v) + w * v)
-        cgrad = q * w * v ** (q - 1.0)
-        kappa = float(np.dot(grad, cgrad) / np.dot(cgrad, cgrad))
-        v_new, kappa, res = _newton_polish(
-            bands, w, A, q, v, kappa, opts.grad_tol * (1.0 + abs(e)))
-        if res < pg_sup:
-            v, pg_sup = v_new, res
-            e = energy(v)
-            if trace is not None:
-                trace.append(e)
-        converged = pg_sup < opts.grad_tol * (1.0 + abs(e))
-
+    converged = beta <= opts.tol
     if not converged and opts.raise_on_failure:
-        raise NoConvergence(
-            f"projected gradient descent: {opts.max_iter} iterations, "
-            f"residual {pg_sup:.3e}")
+        raise NoConvergence(f"minimizer: backward error {beta:.3e} > "
+                            f"{opts.tol:.1e} after {it} steps")
 
     vf = space.field(v)
     i_value = A * grad_norm_sq(space, vf) + integrate(space, space.field(v * v))
@@ -254,7 +245,8 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
                            minimizer=vf, i_value=i_value,
                            el_residual_norm=float(np.abs(el).max()),
                            constancy=float(constancy), iterations=it,
-                           converged=converged,
+                           converged=converged, backward_error=beta,
+                           newton_steps=newton_steps,
                            energy_trace=tuple(trace) if trace else ())
 
 

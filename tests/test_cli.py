@@ -56,6 +56,7 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
                        "A_range": {"lo": 1, "hi": 2, "count": -1}}),
     ("rigidity-scan", {"space": {"resolution": 64},
                        "A_range": {"lo": 1, "hi": 2, "count": "three"}}),
+    ("minimize", {"space": {"resolution": 1e20}}),   # rejected unallocated
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -103,6 +104,9 @@ def test_minimize_command(tmp_path):
     man = read_manifest(out)
     assert man["status"] == "pass"
     assert os.path.exists(os.path.join(out, "minimizer.csv"))
+    with open(os.path.join(out, "minimizer.json"), encoding="utf-8") as fh:
+        rep = json.load(fh)
+    assert rep["backward_error"] <= 1e-13 and rep["newton_steps"] >= 1
 
 
 def test_rigidity_scan_command(tmp_path):

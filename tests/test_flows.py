@@ -44,6 +44,10 @@ def test_problem_validation():
         FiniteDimProblem(Q=np.eye(2), rho=0.5, companion=(lambda y: 0.0,))
     with pytest.raises(InvalidConfig):
         FiniteDimProblem(Q=np.ones((2, 3)), rho=0.5)
+    with pytest.raises(InvalidConfig):  # x* = 0 would be F's maximizer
+        FiniteDimProblem(Q=-np.eye(2), rho=1.0,
+                         companion=(lambda y: -np.sum(y ** 2, axis=-1),
+                                    lambda y: -2.0 * y))
 
 
 def test_quadratic_exact_decay():

@@ -62,7 +62,7 @@ def test_relative_import_graph_is_acyclic():
         visit(name)
 
 
-def test_only_variational_imports_scipy_sparse():
+def test_no_module_imports_scipy_sparse():
     users = sorted(name for name, tree in _modules().items()
                    if _imports_scipy_sparse(tree))
-    assert users == ["variational"]
+    assert users == []
