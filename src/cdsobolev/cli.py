@@ -38,6 +38,12 @@ CONFIG_ERRORS = (InvalidConfig, InvalidExponent, InvalidParameter,
 
 SPACE_KEYS = {"kind", "d", "n", "resolution"}
 
+# Admissible energy weights A of ``minimize`` and ``rigidity-scan``.  The
+# minimizer concentrates at width about sqrt(A): at A = 1e-4 on N = 2048 its
+# pressure v^{-(q-2)/2} overflows, and at A = 1e300 so does A S v.  The
+# suite's values, 0.05 to 2A* = 2.1, lie well inside.
+A_MIN, A_MAX = 1e-3, 1e6
+
 
 def _check_keys(block: dict, allowed: set, context: str) -> None:
     if not isinstance(block, dict):
@@ -80,6 +86,14 @@ def _number_list(block: dict, key: str, default, context: str) -> list:
         raise InvalidConfig(
             f"{context} key {key!r} must be a list of numbers, got {values!r}")
     return [_number({key: v}, key, None, context) for v in values]
+
+
+def _check_weights(values: list, context: str) -> None:
+    """Reject any energy weight A outside [A_MIN, A_MAX]."""
+    for a in values:
+        if not A_MIN <= a <= A_MAX:
+            raise InvalidConfig(f"{context} A = {a:g} outside "
+                                f"[{A_MIN:g}, {A_MAX:g}]")
 
 
 def _init_and_options(cfg: dict, space: ModelSpace):
@@ -215,6 +229,7 @@ def _cmd_minimize(cfg, out, seed, resolution):
                       "max_iter"}, "minimize config")
     space = _space_from_config(cfg, resolution)
     A = _number(cfg, "A", 2.1, "config")
+    _check_weights([A], "config")
     q = _number(cfg, "q", 5.0, "config")
     init, opts = _init_and_options(cfg, space)
     rep = minimize_subcritical(space, A, q, init, opts)
@@ -253,6 +268,7 @@ def _cmd_rigidity_scan(cfg, out, seed, resolution):
             _number(rng_spec, "lo", 0.05, "A_range"),
             _number(rng_spec, "hi", 2.1, "A_range"),
             _integer(rng_spec, "count", 11, "A_range", minimum=1)))
+    _check_weights(a_values, "config")
     f_block = cfg.get("f", {})
     _check_keys(f_block, {"kind", "s"}, "f")
     f_spec = {"kind": f_block.get("kind", "constant"),

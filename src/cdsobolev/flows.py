@@ -22,7 +22,10 @@ circle).  The default step dt = 5e-3 is the one the dissipation-identity
 check admits; see ``fast_diffusion_flow``.  The Otto Hessian of R_alpha,
 its quadratic-form evaluation, and the convexity relation that reproduces
 the sharp Sobolev inequality are exposed as direct evaluators; a transport
-path stepped on raw arrays cross-checks the Hessian.
+path cross-checks the Hessian.  Its two directions, to +s and to -s, are one
+path started from +phi and from -phi (exact in IEEE arithmetic), so they step
+together as one ghost-padded batch in buffers allocated once per call; see
+``hessian_second_derivative``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from .errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
                      InvalidParameter, NoConvergence, NotAProbabilityDensity,
                      PositivityLost, StepUnstable, UnsupportedKind)
 from .model_space import (ModelSpace, ScalarField, _apply_L, _diff1,
-                          apply_L, apply_stiffness, fv_stiffness, gamma,
-                          gamma2, integrate, tridiagonal_solver)
+                          _fill_ghosts, _gamma_terms, _with_ghosts,
+                          apply_stiffness, fv_stiffness, integrate,
+                          tridiagonal_solver)
 from .sobolev import grad_norm_sq
 
 MASS_TOL = 1e-8
@@ -272,7 +276,8 @@ def _renyi_raw(space: ModelSpace, values: np.ndarray, alpha: float) -> float:
 def _otto_grad_norm_sq(space: ModelSpace, values: np.ndarray,
                        alpha: float) -> float:
     """int Gamma(Phi) mu dnu, Phi = mu^{alpha-1}/(alpha-1), on raw values."""
-    dphi = _diff1(space, values ** (alpha - 1.0) / (alpha - 1.0))
+    dphi = _diff1(space, _with_ghosts(
+        space, values ** (alpha - 1.0) / (alpha - 1.0)))
     return float(np.dot(space.quad_weights, dphi * dphi * values))
 
 
@@ -298,6 +303,12 @@ def renyi_grad_norm_sq(space: ModelSpace, mu: ScalarField,
     return _otto_grad_norm_sq(space, mu.values, alpha)
 
 
+def _hessian_quadform(space: ModelSpace, mu: ScalarField, alpha: float,
+                      lphi: np.ndarray, g2: np.ndarray) -> float:
+    integrand = ((alpha - 1.0) * lphi ** 2 + g2) * mu.values ** alpha
+    return float(np.dot(space.quad_weights, integrand) / alpha)
+
+
 def renyi_hessian_quadform(space: ModelSpace, mu: ScalarField, alpha: float,
                            phi: ScalarField) -> float:
     """Otto Hessian of R_alpha at mu along grad phi:
@@ -306,10 +317,8 @@ def renyi_hessian_quadform(space: ModelSpace, mu: ScalarField, alpha: float,
     """
     _check_alpha(alpha)
     _check_density(space, mu)
-    lphi = apply_L(space, phi).values
-    g2 = gamma2(space, phi).values
-    integrand = ((alpha - 1.0) * lphi ** 2 + g2) * mu.values ** alpha
-    return float(np.dot(space.quad_weights, integrand) / alpha)
+    _, lphi, _, g2 = _gamma_terms(space, phi.values)
+    return _hessian_quadform(space, mu, alpha, lphi, g2)
 
 
 def hessian_second_derivative(space: ModelSpace, mu: ScalarField,
@@ -317,30 +326,65 @@ def hessian_second_derivative(space: ModelSpace, mu: ScalarField,
     """Independent check of the Hessian formula by path differentiation.
 
     Transports mu along the geodesic-type path with initial velocity
-    grad phi: the density obeys the continuity equation and the potential
-    the Hamilton-Jacobi equation, stepped on raw arrays to s = +-5e-3.
-    Returns the centered second difference (R(s) + R(-s) - 2 R(0)) / s^2 of
-    the Renyi entropy; raises ``InvalidConfig`` if the path blows up.
+    grad phi: the density m obeys the continuity equation and the potential
+    p the Hamilton-Jacobi equation, dm/ds = -(m' p' + m L p) and
+    dp/ds = -p'^2/2 (' = d/dtheta), stepped by 8 RK4 steps to s = +-5e-3.  Returns the centered second
+    difference (R(s) + R(-s) - 2 R(0)) / s^2 of the Renyi entropy; raises
+    ``InvalidConfig`` if the path blows up.
+
+    The path to -s is the path to +s started from -phi: negating p negates
+    p', L p and so the density's rate while keeping the potential's, which
+    IEEE arithmetic does exactly.  Both paths therefore step together, with
+    one dt, as the rows of one ghost-padded state of shape (2 fields,
+    2 paths, N+2), and return the same bits as two separate solves.  Every
+    work array is allocated once per call and every operation writes into
+    one: at N = 4096 the state is 131,136 bytes, above glibc's 128 KiB mmap
+    threshold, so fresh temporaries would each cost an mmap and munmap.
     """
     _check_alpha(alpha)
     _check_density(space, mu)
     s, steps = 5e-3, 8
+    dt = s / steps
+    N = space.resolution
+    y = np.empty((2, 2, N + 2))
+    y[0, :, 1:-1] = mu.values
+    y[1, 0, 1:-1] = phi.values
+    np.negative(phi.values, out=y[1, 1, 1:-1])
+    _fill_ghosts(space, y)
+    stage = np.empty_like(y)
+    k, acc = np.empty((2, 2, N)), np.empty((2, 2, N))
+    d, lp, tmp = np.empty((2, N)), np.empty((2, N)), np.empty((2, N))
+    y_in, stage_in = y[..., 1:-1], stage[..., 1:-1]
 
-    def rhs(state):
+    def rhs(state):  # k = (dm/ds, dp/ds) at state = (m, p)
         m, p = state
-        dp = _diff1(space, p)
-        div = _diff1(space, m) * dp + m * _apply_L(space, p, dp)
-        return np.stack([-div, -0.5 * (dp * dp)])
+        _apply_L(space, p, _diff1(space, p, out=d), out=lp, tmp=tmp)
+        np.multiply(_diff1(space, m, out=k[0]), d, out=k[0])
+        np.add(k[0], np.multiply(m[..., 1:-1], lp, out=tmp), out=k[0])
+        np.negative(k[0], out=k[0])
+        np.multiply(np.multiply(d, d, out=k[1]), -0.5, out=k[1])
 
-    def evolve(sign):
-        state = np.stack([mu.values, phi.values])
-        for _ in range(steps):
-            state = _rk4_step(rhs, state, sign * s / steps)
-        return space.field(state[0]).values  # InvalidConfig on a blow-up
+    def next_stage(h):  # stage = y + h k
+        np.add(y_in, np.multiply(k, h, out=stage_in), out=stage_in)
+        _fill_ghosts(space, stage)
 
+    for _ in range(steps):
+        # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), rounded as ``_rk4_step``
+        rhs(y)                                      # k1
+        np.copyto(acc, k)
+        next_stage(0.5 * dt)
+        for h in (0.5 * dt, dt):
+            rhs(stage)                              # k2, k3
+            next_stage(h)
+            np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+        rhs(stage)                                  # k4
+        np.add(acc, k, out=acc)
+        np.add(y_in, np.multiply(acc, dt / 6.0, out=acc), out=y_in)
+        _fill_ghosts(space, y)
+    # space.field raises InvalidConfig on a blow-up
+    rp, rm = (_renyi_raw(space, space.field(y[0, i, 1:-1]).values, alpha)
+              for i in (0, 1))
     r0 = _renyi_raw(space, mu.values, alpha)
-    rp = _renyi_raw(space, evolve(+1.0), alpha)
-    rm = _renyi_raw(space, evolve(-1.0), alpha)
     return (rp + rm - 2.0 * r0) / (s * s)
 
 
@@ -476,10 +520,10 @@ def convexity_relation_margin(space: ModelSpace, mu: ScalarField,
     n = float(dim_param)
     alpha = 1.0 - 1.0 / n
     phi = renyi_pressure(space, mu, alpha)
-    quad = renyi_hessian_quadform(space, mu, alpha, phi)
-    bracket = float(np.dot(space.quad_weights,
-                           gamma(space, phi, phi).values
-                           * mu.values ** alpha))
+    _check_density(space, mu)
+    _, lphi, g, g2 = _gamma_terms(space, phi.values)
+    quad = _hessian_quadform(space, mu, alpha, lphi, g2)
+    bracket = float(np.dot(space.quad_weights, g * mu.values ** alpha))
     return quad - (space.rho / alpha) * bracket
 
 

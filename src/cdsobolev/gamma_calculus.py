@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UnsupportedKind
 from .model_space import (ModelSpace, ScalarField, _check_same_space, _diff1,
-                          _diff2, apply_L, gamma, gamma2)
+                          _diff2, _gamma_terms, _with_ghosts, gamma2)
 
 # cells dropped at each pole when taking interior sup-norms; the composed
 # Gamma_2 stencil touches two ghost layers there
@@ -54,19 +54,18 @@ def cd_margin(space: ModelSpace, f: ScalarField,
     _check_same_space(space, f)
     rho = space.rho if rho is None else float(rho)
     n = space.n if n is None else float(n)
-    gf = gamma(space, f, f)
-    g2f = gamma2(space, f)
-    lf = apply_L(space, f)
-    margin = g2f.values - rho * gf.values - lf.values ** 2 / n
-    mf = space.field(margin)
-    return GammaReport(gamma_field=gf, gamma2_field=g2f, l_field=lf,
-                       cd_margin_field=mf, cd_margin_min=float(margin.min()),
-                       rho=rho, n=n)
+    _, lf, gf, g2f = _gamma_terms(space, f.values)
+    margin = g2f - rho * gf - lf ** 2 / n
+    return GammaReport(gamma_field=space.field(gf),
+                       gamma2_field=space.field(g2f), l_field=space.field(lf),
+                       cd_margin_field=space.field(margin),
+                       cd_margin_min=float(margin.min()), rho=rho, n=n)
 
 
 def _radial_hessian_terms(space: ModelSpace, f: ScalarField):
-    fp = _diff1(space, f.values)
-    fpp = _diff2(space, f.values)
+    p = _with_ghosts(space, f.values)
+    fp = _diff1(space, p)
+    fpp = _diff2(space, p)
     cot = 1.0 / np.tan(space.grid)
     return fp, fpp, cot
 

@@ -12,8 +12,12 @@ exp(-W)/Z.  Three kinds are supported:
   curvature bound (used by the flow modules only).
 
 Derivatives are centered second-order finite differences with even-reflection
-closure at the poles (periodic closure on the circle).  The drift W' is always
-evaluated analytically as (n-1) cot(theta), never by differencing W.
+closure at the poles (periodic closure on the circle).  They act on
+ghost-padded arrays of shape (..., N+2) whose end cells ``_fill_ghosts``
+sets, so a batch of rows is differenced in one call and a result can be
+written straight into the interior of the next padded operand.  The drift
+W' is evaluated analytically as -(n-1) cot(theta), once per space, never by
+differencing W.
 
 The finite-volume stiffness S lives here only: its bands, its stencil and
 one tridiagonal factor/solve (``fv_stiffness``, ``apply_stiffness``,
@@ -49,9 +53,11 @@ class ModelSpace:
     Z: float
     h: float
     resolution: int
+    drift: np.ndarray              # W'(theta), zero on the circle
 
     def __post_init__(self):
-        for arr in (self.grid, self.log_weight, self.quad_weights):
+        for arr in (self.grid, self.log_weight, self.quad_weights,
+                    self.drift):
             arr.setflags(write=False)
 
     @property
@@ -124,6 +130,7 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
         h = 2.0 * np.pi / resolution
         grid = (np.arange(resolution) + 0.5) * h
         log_w = np.zeros(resolution)
+        drift = np.zeros(resolution)
         rho = 0.0
     else:
         if n <= 2.0:
@@ -135,6 +142,7 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
         h = np.pi / resolution
         grid = (np.arange(resolution) + 0.5) * h
         log_w = -(n - 1.0) * np.log(np.sin(grid))
+        drift = -(n - 1.0) / np.tan(grid)
         rho = (d - 1.0) if kind == "sphere_radial" else (n - 1.0)
         if rho <= 0.0:
             raise InvalidConfig("sphere_radial requires d >= 2 (rho > 0)")
@@ -144,7 +152,7 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
     w = dens / Z
     return ModelSpace(kind=kind, d=d, n=n, rho=rho, grid=grid,
                       log_weight=log_w, quad_weights=w, Z=Z, h=h,
-                      resolution=resolution)
+                      resolution=resolution, drift=drift)
 
 
 def _check_same_space(space: ModelSpace, *fields: ScalarField):
@@ -154,28 +162,36 @@ def _check_same_space(space: ModelSpace, *fields: ScalarField):
                 f"field lives on {f.space.key}, expected {space.key}")
 
 
-def _pad(space: ModelSpace, v: np.ndarray) -> np.ndarray:
-    """One ghost cell on each side: even reflection (periodic on circle)."""
+def _fill_ghosts(space: ModelSpace, a: np.ndarray) -> np.ndarray:
+    """Set the end cells of an (..., N+2) array along its last axis: even
+    reflection, periodic on the circle.  Returns ``a``."""
     if space.kind == "circle":
-        return np.concatenate(([v[-1]], v, [v[0]]))
-    return np.concatenate(([v[0]], v, [v[-1]]))
+        a[..., 0], a[..., -1] = a[..., -2], a[..., 1]
+    else:
+        a[..., 0], a[..., -1] = a[..., 1], a[..., -2]
+    return a
 
 
-def _diff1(space: ModelSpace, v: np.ndarray) -> np.ndarray:
-    p = _pad(space, v)
-    return (p[2:] - p[:-2]) / (2.0 * space.h)
+def _with_ghosts(space: ModelSpace, v: np.ndarray) -> np.ndarray:
+    """A ghost-padded (..., N+2) copy of the values v."""
+    a = np.empty(v.shape[:-1] + (v.shape[-1] + 2,))
+    a[..., 1:-1] = v
+    return _fill_ghosts(space, a)
 
 
-def _diff2(space: ModelSpace, v: np.ndarray) -> np.ndarray:
-    p = _pad(space, v)
-    return (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (space.h * space.h)
+def _diff1(space: ModelSpace, p: np.ndarray, out=None) -> np.ndarray:
+    """Centered first difference of the ghost-padded array p."""
+    out = np.subtract(p[..., 2:], p[..., :-2], out=out)
+    return np.divide(out, 2.0 * space.h, out=out)
 
 
-def _drift(space: ModelSpace) -> np.ndarray:
-    """W'(theta), evaluated analytically."""
-    if space.kind == "circle":
-        return np.zeros_like(space.grid)
-    return -(space.n - 1.0) / np.tan(space.grid)
+def _diff2(space: ModelSpace, p: np.ndarray, out=None) -> np.ndarray:
+    """Centered second difference (p+ - 2 p) + p-, over h^2, of the
+    ghost-padded array p."""
+    out = np.multiply(p[..., 1:-1], 2.0, out=out)
+    np.subtract(p[..., 2:], out, out=out)
+    np.add(out, p[..., :-2], out=out)
+    return np.divide(out, space.h * space.h, out=out)
 
 
 def integrate(space: ModelSpace, f: ScalarField) -> float:
@@ -184,31 +200,46 @@ def integrate(space: ModelSpace, f: ScalarField) -> float:
     return float(np.dot(space.quad_weights, f.values))
 
 
-def _apply_L(space: ModelSpace, v: np.ndarray, dv=None) -> np.ndarray:
-    """L v = v'' - W' v' on raw values; ``dv`` is v' if the caller has it."""
-    if dv is None:
-        dv = _diff1(space, v)
-    return _diff2(space, v) - _drift(space) * dv
+def _apply_L(space: ModelSpace, p: np.ndarray, dp=None, out=None,
+             tmp=None) -> np.ndarray:
+    """L v = v'' - W' v' of the ghost-padded p; ``dp`` is v' if the caller
+    has it, ``tmp`` a buffer for W' v' shaped like the result."""
+    if dp is None:
+        dp = _diff1(space, p)
+    out = _diff2(space, p, out)
+    return np.subtract(out, np.multiply(space.drift, dp, out=tmp), out=out)
+
+
+def _gamma_terms(space: ModelSpace, v: np.ndarray):
+    """(v', L v, Gamma(v), Gamma_2(v)) of the values v, each evaluated once;
+    Gamma_2(v) = L(Gamma(v))/2 - Gamma(v, Lv)."""
+    p = _with_ghosts(space, v)
+    dv = _diff1(space, p)
+    lv, g = np.empty_like(p), np.empty_like(p)
+    _apply_L(space, p, dv, out=lv[1:-1])
+    np.multiply(dv, dv, out=g[1:-1])
+    g2 = 0.5 * _apply_L(space, _fill_ghosts(space, g)) \
+        - dv * _diff1(space, _fill_ghosts(space, lv))
+    return dv, lv[1:-1], g[1:-1], g2
 
 
 def apply_L(space: ModelSpace, f: ScalarField) -> ScalarField:
     """Generator L f = f'' - W' f'."""
     _check_same_space(space, f)
-    return space.field(_apply_L(space, f.values))
+    return space.field(_apply_L(space, _with_ghosts(space, f.values)))
 
 
 def gamma(space: ModelSpace, f: ScalarField, g: ScalarField) -> ScalarField:
     """Carre du champ Gamma(f, g) = f' g' pointwise."""
     _check_same_space(space, f, g)
-    return space.field(_diff1(space, f.values) * _diff1(space, g.values))
+    return space.field(_diff1(space, _with_ghosts(space, f.values))
+                       * _diff1(space, _with_ghosts(space, g.values)))
 
 
 def gamma2(space: ModelSpace, f: ScalarField) -> ScalarField:
     """Iterated carre du champ Gamma_2(f) = L(Gamma(f))/2 - Gamma(f, Lf)."""
     _check_same_space(space, f)
-    df = _diff1(space, f.values)
-    lf = _apply_L(space, f.values, df)
-    return space.field(0.5 * _apply_L(space, df * df) - df * _diff1(space, lf))
+    return space.field(_gamma_terms(space, f.values)[3])
 
 
 def ibp_residual(space: ModelSpace, u: ScalarField, v: ScalarField) -> float:

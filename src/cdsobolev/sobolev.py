@@ -89,6 +89,8 @@ def extremal_field(space: ModelSpace, beta: float) -> ScalarField:
 
 def a_star(x: float, rho: float) -> float:
     """Sharp rigidity threshold 4(x-1)/(x(x-2) rho) at dimension parameter x."""
+    if rho <= 0.0:
+        raise InvalidParameter(f"A* needs rho > 0, got rho = {rho}")
     return 4.0 * (x - 1.0) / (x * (x - 2.0) * rho)
 
 

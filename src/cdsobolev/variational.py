@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import (InvalidConfig, InvalidExponent, InvalidParameter,
                      NoConvergence, NonPositiveField, SingularMatrix)
-from .model_space import (ModelSpace, ScalarField, apply_L, apply_stiffness,
-                          fv_stiffness, gamma, gamma2, integrate,
+from .model_space import (ModelSpace, ScalarField, _gamma_terms, apply_L,
+                          apply_stiffness, fv_stiffness, gamma, integrate,
                           tridiagonal_solver)
 from .sobolev import a_star, critical_exponent, grad_norm_sq
 
@@ -275,9 +275,7 @@ def gamma2_identity_terms(space: ModelSpace, phi: ScalarField,
     if phi.min() <= 0.0:
         raise NonPositiveField("pressure field must be positive")
     weight = phi.values ** (1.0 - d_prime)
-    g2 = gamma2(space, phi).values
-    lphi = apply_L(space, phi).values
-    g = gamma(space, phi, phi).values
+    _, lphi, g, g2 = _gamma_terms(space, phi.values)
     t_g2 = integrate(space, space.field(g2 * weight))
     t_lap = integrate(space, space.field(lphi ** 2 / d_prime * weight))
     t_gam = integrate(space, space.field(c / d_prime * g * weight))
@@ -321,9 +319,7 @@ def rigidity_terms(space: ModelSpace, report: MinimizerReport, f_prime):
     vf = space.field(v)
     phi = pressure_transform(vf, report.q)
     weight = space.field(phi.values ** (1.0 - d_prime))
-    g2 = gamma2(space, phi).values
-    g = gamma(space, phi, phi).values
-    lphi = apply_L(space, phi).values
+    _, lphi, g, g2 = _gamma_terms(space, phi.values)
     rho = space.rho
     term_cd = integrate(space, space.field(
         (g2 - rho * g - lphi ** 2 / d_prime) * weight.values))

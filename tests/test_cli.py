@@ -57,6 +57,12 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     ("rigidity-scan", {"space": {"resolution": 64},
                        "A_range": {"lo": 1, "hi": 2, "count": "three"}}),
     ("minimize", {"space": {"resolution": 1e20}}),   # rejected unallocated
+    ("minimize", {"A": 1e300}),                      # A outside [A_MIN, A_MAX]
+    ("rigidity-scan", {"A_list": [1e-300]}),
+    ("rigidity-scan", {"space": {"kind": "circle", "d": 1, "n": 3.0,
+                                 "resolution": 64}}),  # no A* at rho = 0
+    ("critical-limit", {"space": {"kind": "circle", "d": 1, "n": 3.0,
+                                  "resolution": 64}}),
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)

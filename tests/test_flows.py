@@ -228,16 +228,21 @@ def _reference_path_second_derivative(space, mu, alpha, phi):
     return (ends[0] + ends[1] - 2.0 * renyi(mu.values)) / (s * s)
 
 
-@pytest.mark.parametrize("N", [128, 1024])
+# N = 4096 is where the batched (2, 2, N+2) path state passes 128 KiB
+@pytest.mark.parametrize("N, alpha", [
+    pytest.param(N, alpha, id=str(N) if alpha == 2.0 / 3.0
+                 else f"{N}-alpha{alpha}")
+    for N in (128, 1024, 4096) for alpha in (0.4, 2.0 / 3.0, 0.9)])
 @pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
                                       ("jacobi", 2, 4.5), ("circle", 1, 1.0)])
-def test_path_second_derivative_matches_reference_bitwise(kind, d, n, N):
+def test_path_second_derivative_matches_reference_bitwise(kind, d, n, N,
+                                                          alpha):
     space = build_space(kind, d, n, N)
     rng = np.random.default_rng(N)
     mu = normalized(space, trig_poly_field(space, rng, amplitude=0.3).values)
     phi = trig_poly_field(space, rng, degree=3)
-    got = hessian_second_derivative(space, mu, 2.0 / 3.0, phi)
-    assert got == _reference_path_second_derivative(space, mu, 2.0 / 3.0, phi)
+    got = hessian_second_derivative(space, mu, alpha, phi)
+    assert got == _reference_path_second_derivative(space, mu, alpha, phi)
 
 
 def test_path_blowup_is_invalid_config(sphere):

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from cdsobolev import apply_L, build_space, gamma, gamma2, ibp_residual, integrate
 from cdsobolev.errors import InvalidConfig, SingularMatrix, SpaceMismatch
-from cdsobolev.model_space import (apply_stiffness, fv_stiffness,
+from cdsobolev.model_space import (_diff1, _diff2, _fill_ghosts,
+                                   apply_stiffness, fv_stiffness,
                                    tridiagonal_solver, weighted_laplacian_fv)
 
 
@@ -132,6 +133,33 @@ def test_gamma2_matches_operator_composition(kind, d, n, N):
     composed = (0.5 * apply_L(space, gamma(space, f, f)).values
                 - gamma(space, f, lf).values)
     assert np.array_equal(gamma2(space, f).values, composed)
+
+
+@pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
+                                      ("jacobi", 2, 4.5), ("circle", 1, 1.0)])
+@pytest.mark.parametrize("N", [16, 257, 4096])
+def test_padded_stencils_match_rows(kind, d, n, N):
+    # a (2, 2, N+2) batch, ghost-filled once, differences to the same bits
+    # as each row padded on its own: even reflection, periodic on the circle
+    space = build_space(kind, d, n, N)
+    rows = np.random.default_rng(N).standard_normal((2, 2, N))
+    batch = np.empty((2, 2, N + 2))
+    batch[..., 1:-1] = rows
+    _fill_ghosts(space, batch)
+    d1, d2 = np.empty((2, 2, N)), np.empty((2, 2, N))
+    assert _diff1(space, batch, out=d1) is d1
+    assert _diff2(space, batch, out=d2) is d2
+    h = space.h
+    for idx in np.ndindex(2, 2):
+        v = rows[idx]
+        ends = (v[-1], v[0]) if kind == "circle" else (v[0], v[-1])
+        p = np.concatenate(([ends[0]], v, [ends[1]]))
+        assert np.array_equal(batch[idx], p)
+        assert np.array_equal(d1[idx], (p[2:] - p[:-2]) / (2.0 * h))
+        assert np.array_equal(d2[idx],
+                              (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h))
+        assert np.array_equal(_diff1(space, p), d1[idx])
+        assert np.array_equal(_diff2(space, p), d2[idx])
 
 
 def test_moment_oracles():
