@@ -26,7 +26,7 @@ from .flows import (FiniteDimProblem, convexity_inequality_margin,
                     fast_diffusion_flow, fd_flow, hessian_second_derivative,
                     renyi_hessian_quadform)
 from .gamma_calculus import cd_margin
-from .model_space import ModelSpace, build_space, integrate
+from .model_space import ModelSpace, _quadrature, build_space, integrate
 from .reporting import (ensure_dir, write_csv, write_field_csv, write_json,
                         write_svg)
 from .sobolev import (a_star, critical_exponent, extremal_field,
@@ -360,7 +360,7 @@ def check_fast_diffusion_flow(out_dir=None, resolution=256) -> CheckResult:
     space = build_space("sphere_radial", 3, 3.0, resolution)
     alpha = 2.0 / 3.0
     raw = 1.0 + 0.5 * np.cos(space.grid)
-    mu0 = space.field(raw / integrate(space, space.field(raw)))
+    mu0 = space.field(raw / _quadrature(space, raw))
     trace = fast_diffusion_flow(space, mu0, alpha, T=5.0)
 
     mass_drift = float(np.abs(np.asarray(trace.mass) - trace.mass[0]).max()) \
@@ -530,7 +530,7 @@ def _mini_bundle(out_dir: str, seed: int) -> None:
             rigidity_scan(space, 5.0, [0.05, 1.05, 2.0]))
     check_rigidity_threshold(scan, out_dir)
     raw = 1.0 + 0.5 * np.cos(space.grid)
-    mu0 = space.field(raw / integrate(space, space.field(raw)))
+    mu0 = space.field(raw / _quadrature(space, raw))
     trace = fast_diffusion_flow(space, mu0, 2.0 / 3.0, T=0.5)
     write_flow_csv(os.path.join(out_dir, "fast_diffusion.csv"), trace)
 

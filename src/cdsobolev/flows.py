@@ -22,10 +22,9 @@ circle).  The default step dt = 5e-3 is the one the dissipation-identity
 check admits; see ``fast_diffusion_flow``.  The Otto Hessian of R_alpha,
 its quadratic-form evaluation, and the convexity relation that reproduces
 the sharp Sobolev inequality are exposed as direct evaluators; a transport
-path cross-checks the Hessian.  Its two directions, to +s and to -s, are one
-path started from +phi and from -phi (exact in IEEE arithmetic), so they step
-together as one ghost-padded batch in buffers allocated once per call; see
-``hessian_second_derivative``.
+path cross-checks the Hessian.  The check differentiates the semi-discrete
+path twice at s = 0 in closed form, from the difference stencils alone, so
+it has no step size and no s^2 error; see ``hessian_second_derivative``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
                      InvalidParameter, NoConvergence, NotAProbabilityDensity,
                      PositivityLost, StepUnstable, UnsupportedKind)
 from .model_space import (ModelSpace, ScalarField, _apply_L, _diff1,
-                          _fill_ghosts, _gamma_terms, _with_ghosts,
+                          _gamma_terms, _quadrature, _with_ghosts,
                           apply_stiffness, fv_stiffness, integrate,
                           tridiagonal_solver)
 from .sobolev import grad_norm_sq
@@ -327,65 +326,39 @@ def hessian_second_derivative(space: ModelSpace, mu: ScalarField,
 
     Transports mu along the geodesic-type path with initial velocity
     grad phi: the density m obeys the continuity equation and the potential
-    p the Hamilton-Jacobi equation, dm/ds = -(m' p' + m L p) and
-    dp/ds = -p'^2/2 (' = d/dtheta), stepped by 8 RK4 steps to s = +-5e-3.  Returns the centered second
-    difference (R(s) + R(-s) - 2 R(0)) / s^2 of the Renyi entropy; raises
-    ``InvalidConfig`` if the path blows up.
+    p the Hamilton-Jacobi equation, with m(0) = mu, p(0) = phi and D the
+    centered difference standing for d/dtheta:
 
-    The path to -s is the path to +s started from -phi: negating p negates
-    p', L p and so the density's rate while keeping the potential's, which
-    IEEE arithmetic does exactly.  Both paths therefore step together, with
-    one dt, as the rows of one ghost-padded state of shape (2 fields,
-    2 paths, N+2), and return the same bits as two separate solves.  Every
-    work array is allocated once per call and every operation writes into
-    one: at N = 4096 the state is 131,136 bytes, above glibc's 128 KiB mmap
-    threshold, so fresh temporaries would each cost an mmap and munmap.
+        dm/ds = -(Dm Dp + m Lp),    dp/ds = -(Dp)^2/2.
+
+    Returns d^2/ds^2 R_alpha(m(s)) at s = 0, exact for this semi-discrete
+    path: its second-order jet is
+
+        m1 = -(Dm Dp + m Lp),    p1 = -(Dp)^2/2,
+        m2 = -(Dm1 Dp + Dm Dp1 + m1 Lp + m Lp1),
+        R'' = (1/(alpha-1)) int [(alpha-1) m^(alpha-2) m1^2
+                                 + m^(alpha-1) m2] dnu,
+
+    with no step size.  It shares only the difference stencils with
+    ``renyi_hessian_quadform``, never its Gamma_2.  Raises ``InvalidConfig``
+    if the result is not finite.
     """
     _check_alpha(alpha)
     _check_density(space, mu)
-    s, steps = 5e-3, 8
-    dt = s / steps
-    N = space.resolution
-    y = np.empty((2, 2, N + 2))
-    y[0, :, 1:-1] = mu.values
-    y[1, 0, 1:-1] = phi.values
-    np.negative(phi.values, out=y[1, 1, 1:-1])
-    _fill_ghosts(space, y)
-    stage = np.empty_like(y)
-    k, acc = np.empty((2, 2, N)), np.empty((2, 2, N))
-    d, lp, tmp = np.empty((2, N)), np.empty((2, N)), np.empty((2, N))
-    y_in, stage_in = y[..., 1:-1], stage[..., 1:-1]
-
-    def rhs(state):  # k = (dm/ds, dp/ds) at state = (m, p)
-        m, p = state
-        _apply_L(space, p, _diff1(space, p, out=d), out=lp, tmp=tmp)
-        np.multiply(_diff1(space, m, out=k[0]), d, out=k[0])
-        np.add(k[0], np.multiply(m[..., 1:-1], lp, out=tmp), out=k[0])
-        np.negative(k[0], out=k[0])
-        np.multiply(np.multiply(d, d, out=k[1]), -0.5, out=k[1])
-
-    def next_stage(h):  # stage = y + h k
-        np.add(y_in, np.multiply(k, h, out=stage_in), out=stage_in)
-        _fill_ghosts(space, stage)
-
-    for _ in range(steps):
-        # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), rounded as ``_rk4_step``
-        rhs(y)                                      # k1
-        np.copyto(acc, k)
-        next_stage(0.5 * dt)
-        for h in (0.5 * dt, dt):
-            rhs(stage)                              # k2, k3
-            next_stage(h)
-            np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
-        rhs(stage)                                  # k4
-        np.add(acc, k, out=acc)
-        np.add(y_in, np.multiply(acc, dt / 6.0, out=acc), out=y_in)
-        _fill_ghosts(space, y)
-    # space.field raises InvalidConfig on a blow-up
-    rp, rm = (_renyi_raw(space, space.field(y[0, i, 1:-1]).values, alpha)
-              for i in (0, 1))
-    r0 = _renyi_raw(space, mu.values, alpha)
-    return (rp + rm - 2.0 * r0) / (s * s)
+    m = mu.values
+    p = _with_ghosts(space, phi.values)
+    dm, dp = _diff1(space, _with_ghosts(space, m)), _diff1(space, p)
+    lp = _apply_L(space, p, dp)
+    m1 = -(dm * dp + m * lp)
+    p1 = _with_ghosts(space, -0.5 * dp * dp)
+    dp1 = _diff1(space, p1)
+    m2 = -(_diff1(space, _with_ghosts(space, m1)) * dp + dm * dp1
+           + m1 * lp + m * _apply_L(space, p1, dp1))
+    integrand = ((alpha - 1.0) * m1 * m1 + m * m2) * m ** (alpha - 2.0)
+    r2 = float(np.dot(space.quad_weights, integrand) / (alpha - 1.0))
+    if not math.isfinite(r2):
+        raise InvalidConfig(f"path second derivative is not finite ({r2})")
+    return r2
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +516,7 @@ def entropy_inequality_margin(space: ModelSpace, mu: ScalarField) -> float:
     f = space.field(mu.values ** (beta / 2.0))
     grad_term = (alpha / (2.0 * space.rho)) * (4.0 / beta ** 2) \
         * grad_norm_sq(space, f)
-    f2 = integrate(space, space.field(f.values ** 2))
+    f2 = _quadrature(space, f.values ** 2)
     # -R_beta(mu) + R_beta(1) with int mu^beta = int f^2
     return grad_term + (1.0 - f2) / (beta * (beta - 1.0))
 

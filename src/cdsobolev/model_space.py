@@ -194,20 +194,30 @@ def _diff2(space: ModelSpace, p: np.ndarray, out=None) -> np.ndarray:
     return np.divide(out, space.h * space.h, out=out)
 
 
+def _quadrature(space: ModelSpace, values: np.ndarray) -> float:
+    """int v dnu of the raw values v.  The weights are positive, so the sum
+    is finite exactly when every value is; raises ``InvalidConfig`` as
+    ``space.field`` would otherwise."""
+    total = float(np.dot(space.quad_weights, values))
+    if not np.isfinite(total):
+        raise InvalidConfig("field values must be finite")
+    return total
+
+
 def integrate(space: ModelSpace, f: ScalarField) -> float:
     """Quadrature of int f dnu over the normalized measure."""
     _check_same_space(space, f)
-    return float(np.dot(space.quad_weights, f.values))
+    return _quadrature(space, f.values)
 
 
-def _apply_L(space: ModelSpace, p: np.ndarray, dp=None, out=None,
-             tmp=None) -> np.ndarray:
+def _apply_L(space: ModelSpace, p: np.ndarray, dp=None,
+             out=None) -> np.ndarray:
     """L v = v'' - W' v' of the ghost-padded p; ``dp`` is v' if the caller
-    has it, ``tmp`` a buffer for W' v' shaped like the result."""
+    has it."""
     if dp is None:
         dp = _diff1(space, p)
     out = _diff2(space, p, out)
-    return np.subtract(out, np.multiply(space.drift, dp, out=tmp), out=out)
+    return np.subtract(out, space.drift * dp, out=out)
 
 
 def _gamma_terms(space: ModelSpace, v: np.ndarray):
@@ -248,8 +258,8 @@ def ibp_residual(space: ModelSpace, u: ScalarField, v: ScalarField) -> float:
     Returns max(|int (Lu) v + int Gamma(u,v)|, |int (Lu) v - int u (Lv)|).
     """
     _check_same_space(space, u, v)
-    lu_v = integrate(space, space.field(apply_L(space, u).values * v.values))
-    u_lv = integrate(space, space.field(u.values * apply_L(space, v).values))
+    lu_v = _quadrature(space, apply_L(space, u).values * v.values)
+    u_lv = _quadrature(space, u.values * apply_L(space, v).values)
     g_uv = integrate(space, gamma(space, u, v))
     return max(abs(lu_v + g_uv), abs(lu_v - u_lv))
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponent, InvalidParameter
-from .model_space import ModelSpace, ScalarField, gamma, integrate
+from .model_space import (ModelSpace, ScalarField, _quadrature, gamma,
+                          integrate)
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def lq_norm(space: ModelSpace, v: ScalarField, q: float) -> float:
     """(int |v|^q dnu)^(1/q)."""
     if q < 1.0:
         raise InvalidExponent(f"q = {q} < 1")
-    mom = integrate(space, space.field(np.abs(v.values) ** q))
+    mom = _quadrature(space, np.abs(v.values) ** q)
     return float(mom ** (1.0 / q))
 
 
@@ -66,7 +67,7 @@ def sobolev_deficit(space: ModelSpace, v: ScalarField, q: float) -> SobolevRepor
     if not (2.0 < q <= qc):
         raise InvalidExponent(f"q = {q} outside (2, {qc}]")
     lq_sq = lq_norm(space, v, q) ** 2
-    l2_sq = integrate(space, space.field(v.values ** 2))
+    l2_sq = _quadrature(space, v.values ** 2)
     gsq = grad_norm_sq(space, v)
     lhs = (lq_sq - l2_sq) / (q - 2.0)
     rhs = (space.n - 1.0) / (space.n * space.rho) * gsq

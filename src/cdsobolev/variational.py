@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import (InvalidConfig, InvalidExponent, InvalidParameter,
                      NoConvergence, NonPositiveField, SingularMatrix)
-from .model_space import (ModelSpace, ScalarField, _gamma_terms, apply_L,
-                          apply_stiffness, fv_stiffness, gamma, integrate,
+from .model_space import (ModelSpace, ScalarField, _gamma_terms, _quadrature,
+                          apply_L, apply_stiffness, fv_stiffness, gamma,
                           tridiagonal_solver)
 from .sobolev import a_star, critical_exponent, grad_norm_sq
 
@@ -234,7 +234,7 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
                             f"{opts.tol:.1e} after {it} steps")
 
     vf = space.field(v)
-    i_value = A * grad_norm_sq(space, vf) + integrate(space, space.field(v * v))
+    i_value = A * grad_norm_sq(space, vf) + _quadrature(space, v * v)
     d_prime, lam, c = subcritical_params(A, q)
     w_resc = el_solution(v, i_value, q)
     el = -A * apply_L(space, space.field(w_resc)).values + w_resc \
@@ -276,9 +276,9 @@ def gamma2_identity_terms(space: ModelSpace, phi: ScalarField,
         raise NonPositiveField("pressure field must be positive")
     weight = phi.values ** (1.0 - d_prime)
     _, lphi, g, g2 = _gamma_terms(space, phi.values)
-    t_g2 = integrate(space, space.field(g2 * weight))
-    t_lap = integrate(space, space.field(lphi ** 2 / d_prime * weight))
-    t_gam = integrate(space, space.field(c / d_prime * g * weight))
+    t_g2 = _quadrature(space, g2 * weight)
+    t_lap = _quadrature(space, lphi ** 2 / d_prime * weight)
+    t_gam = _quadrature(space, c / d_prime * g * weight)
     return t_g2, t_lap, t_gam
 
 
@@ -321,13 +321,11 @@ def rigidity_terms(space: ModelSpace, report: MinimizerReport, f_prime):
     weight = space.field(phi.values ** (1.0 - d_prime))
     _, lphi, g, g2 = _gamma_terms(space, phi.values)
     rho = space.rho
-    term_cd = integrate(space, space.field(
-        (g2 - rho * g - lphi ** 2 / d_prime) * weight.values))
-    term_gap = (rho - c / d_prime) * integrate(
-        space, space.field(g * weight.values))
-    term_f = lam * integrate(space, space.field(
-        f_prime(v) * phi.values ** 2
-        * gamma(space, vf, weight).values))
+    term_cd = _quadrature(
+        space, (g2 - rho * g - lphi ** 2 / d_prime) * weight.values)
+    term_gap = (rho - c / d_prime) * _quadrature(space, g * weight.values)
+    term_f = lam * _quadrature(
+        space, f_prime(v) * phi.values ** 2 * gamma(space, vf, weight).values)
     return term_cd, term_gap, term_f, gamma2_identity_terms(space, phi,
                                                             d_prime, c)
 

@@ -207,8 +207,10 @@ def test_hessian_matches_path_second_derivative(sphere):
         assert abs(quad - path) <= 1e-3 * max(abs(quad), 1e-12)
 
 
-def _reference_path_second_derivative(space, mu, alpha, phi):
-    """The transport path built from the public field operators."""
+def _reference_path_second_derivative(space, mu, alpha, phi, s):
+    """Centered second difference (R(s) + R(-s) - 2 R(0)) / s^2 along the
+    transport path built from the public field operators, 8 RK4 steps to
+    each side."""
     def rhs(state):
         mf, pf = space.field(state[0]), space.field(state[1])
         div = gamma(space, mf, pf).values + state[0] * apply_L(space, pf).values
@@ -218,7 +220,7 @@ def _reference_path_second_derivative(space, mu, alpha, phi):
         return float(np.dot(space.quad_weights, m ** alpha)
                      / (alpha * (alpha - 1.0)))
 
-    s, steps = 5e-3, 8
+    steps = 8
     ends = []
     for sign in (1.0, -1.0):
         state = np.stack([mu.values, phi.values])
@@ -228,7 +230,7 @@ def _reference_path_second_derivative(space, mu, alpha, phi):
     return (ends[0] + ends[1] - 2.0 * renyi(mu.values)) / (s * s)
 
 
-# N = 4096 is where the batched (2, 2, N+2) path state passes 128 KiB
+# N = 4096 is the finest resolution the benchmark corpus certifies
 @pytest.mark.parametrize("N, alpha", [
     pytest.param(N, alpha, id=str(N) if alpha == 2.0 / 3.0
                  else f"{N}-alpha{alpha}")
@@ -237,17 +239,56 @@ def _reference_path_second_derivative(space, mu, alpha, phi):
                                       ("jacobi", 2, 4.5), ("circle", 1, 1.0)])
 def test_path_second_derivative_matches_reference_bitwise(kind, d, n, N,
                                                           alpha):
+    # the exact second derivative of the semi-discrete path is the s -> 0
+    # limit of the RK4 reference: its error is O(s^2), and Richardson
+    # extrapolation of two step sizes removes that term
     space = build_space(kind, d, n, N)
     rng = np.random.default_rng(N)
     mu = normalized(space, trig_poly_field(space, rng, amplitude=0.3).values)
     phi = trig_poly_field(space, rng, degree=3)
     got = hessian_second_derivative(space, mu, alpha, phi)
-    assert got == _reference_path_second_derivative(space, mu, alpha, phi)
+    coarse, fine = (_reference_path_second_derivative(space, mu, alpha, phi, s)
+                    for s in (5e-3, 2.5e-3))
+    assert 3.9 <= (coarse - got) / (fine - got) <= 4.1
+    assert abs((4.0 * fine - coarse) / 3.0 - got) <= 1e-7 * abs(got)
 
 
-def test_path_blowup_is_invalid_config(sphere):
+@pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
+                                      ("jacobi", 2, 4.5), ("jacobi", 2, 6.0),
+                                      ("circle", 1, 1.0)])
+def test_hessian_path_gap_is_second_order(kind, d, n):
+    # both sides discretize the same continuum Hessian at O(h^2), so the
+    # worst quadform-vs-path gap of a fixed corpus falls 4x per halving of h
+    worst = []
+    for N in (512, 1024, 2048):
+        space = build_space(kind, d, n, N)
+        rng = np.random.default_rng(5)
+        gaps = []
+        for i in range(20):
+            alpha = (0.4, 0.5, 2.0 / 3.0, 0.75, 0.9)[i % 5]
+            mu = normalized(space, trig_poly_field(space, rng,
+                                                   amplitude=0.3).values)
+            phi = trig_poly_field(space, rng, degree=3)
+            quad = renyi_hessian_quadform(space, mu, alpha, phi)
+            path = hessian_second_derivative(space, mu, alpha, phi)
+            gaps.append(abs(quad - path) / max(abs(quad), 1e-12))
+        worst.append(max(gaps))
+    for coarse, fine in zip(worst, worst[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_path_large_potential_matches_quadform(sphere):
+    # the jet has no step size, so a steep potential is no blow-up
     mu = sphere.field(np.ones(256))
     phi = sphere.field(1e3 * np.cos(sphere.grid))
+    quad = renyi_hessian_quadform(sphere, mu, 0.5, phi)
+    path = hessian_second_derivative(sphere, mu, 0.5, phi)
+    assert abs(quad - path) <= 1e-3 * abs(quad)
+
+
+def test_path_overflow_is_invalid_config(sphere):
+    mu = sphere.field(np.ones(256))
+    phi = sphere.field(1e160 * np.cos(sphere.grid))
     with np.errstate(all="ignore"), pytest.raises(InvalidConfig):
         hessian_second_derivative(sphere, mu, 0.5, phi)
 

@@ -6,7 +6,7 @@ import pytest
 from cdsobolev import (build_space, critical_exponent, extremal_field, lq_norm,
                        sharp_constants, sobolev_deficit)
 from cdsobolev.acceptance import trig_poly_field
-from cdsobolev.errors import InvalidExponent, InvalidParameter
+from cdsobolev.errors import InvalidConfig, InvalidExponent, InvalidParameter
 
 
 def test_critical_exponent_values():
@@ -73,6 +73,14 @@ def test_deficit_exponent_validation():
     for q in (2.0, 6.5):
         with pytest.raises(InvalidExponent):
             sobolev_deficit(space, v, q)
+
+
+def test_deficit_overflow_is_invalid_config():
+    # |v|^6 overflows to inf: the quadrature must not return it
+    space = build_space("sphere_radial", 3, 3.0, 256)
+    v = space.field(np.full(256, 1e100))
+    with np.errstate(over="ignore"), pytest.raises(InvalidConfig):
+        sobolev_deficit(space, v, 6.0)
 
 
 def test_constants_saturate():

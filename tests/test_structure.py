@@ -66,3 +66,18 @@ def test_no_module_imports_scipy_sparse():
     users = sorted(name for name, tree in _modules().items()
                    if _imports_scipy_sparse(tree))
     assert users == []
+
+
+def test_hessian_path_stays_independent_of_gamma2():
+    # the path second derivative cross-checks the Gamma_2 formula, so it
+    # must not be computed from that formula
+    tree = _modules()["flows"]
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "hessian_second_derivative")
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(body)
+              if isinstance(node, ast.Attribute)}
+    forbidden = {"_gamma_terms", "gamma2", "_hessian_quadform",
+                 "renyi_hessian_quadform"}
+    assert names & forbidden == set()
