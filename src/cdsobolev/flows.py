@@ -4,7 +4,8 @@ Two layers share one trace format.  The finite-dimensional layer integrates
 x' = -grad F(x) for strictly convex entropies F and certifies the convexity
 inequality  G(x*) <= |grad F(x)|^2/(2 rho) + G(x)  under the condition
 grad F . Hess F grad F >= -rho grad F . grad G, on one point or a batch of
-points (one per row), evaluating grad F once per point.
+points (one per row), evaluating grad F once per point.  Its RK4 flow
+evaluates F and the records once per block of steps, not once per step.
 
 The density layer runs the fast diffusion equation
 
@@ -176,6 +177,8 @@ def _make_trace(times, ent, gn, comp, dist, **counters) -> FlowTrace:
 # ---------------------------------------------------------------------------
 
 def _rk4_step(rhs, y, dt):
+    """One RK4 step of y' = rhs(y).  With -dt it is bit for bit the step of
+    y' = -rhs(y): negation is exact and rounding is symmetric in sign."""
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * dt * k1)
     k3 = rhs(y + 0.5 * dt * k2)
@@ -184,39 +187,38 @@ def _rk4_step(rhs, y, dt):
 
 
 def fd_flow(problem: FiniteDimProblem, x0, T: float, dt: float) -> FlowTrace:
-    """RK4 integration of x' = -grad F(x) with Lyapunov monitoring (F is
-    evaluated once per step)."""
+    """RK4 integration of x' = -grad F(x) to T, at a step of at most dt that
+    divides T.  F, its Lyapunov test and the records are evaluated once per
+    block of MAX_RECORDS steps: memory is O(MAX_RECORDS dim), and an
+    unstable flow stops within one block."""
     if dt <= 0.0 or T < dt:
         raise InvalidParameter("need dt > 0 and T >= dt")
     x = np.array(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise InvalidConfig(f"x0 must have shape ({problem.dim},)")
-    nsteps = int(round(T / dt))
+    nsteps = math.ceil(T / dt - 1e-9)
+    dt = T / nsteps
     every = max(1, math.ceil(nsteps / MAX_RECORDS))
-    rhs = lambda y: -problem.grad_F(y)
+    block = np.empty((min(nsteps, MAX_RECORDS) + 1, problem.dim))
+    records = []
+    for k0 in range(0, nsteps, MAX_RECORDS):
+        n = min(MAX_RECORDS, nsteps - k0)
+        block[0] = x
+        for i in range(1, n + 1):
+            block[i] = x = _rk4_step(problem.grad_F, x, -dt)
+        f = problem.F(block[:n + 1])
+        up = np.flatnonzero(f[1:] > f[:-1] + 1e-10 * (1.0 + np.abs(f[:-1])))
+        if up.size:
+            raise StepUnstable(f"F increased from {f[up[0]]} to "
+                               f"{f[up[0] + 1]} at step {k0 + up[0] + 1}")
+        k = np.arange(k0 + (k0 > 0), k0 + n + 1)
+        k = k[(k % every == 0) | (k == nsteps)]
+        rows, fk = block[k - k0], f[k - k0]
+        records.append((k * dt, fk, np.sum(problem.grad_F(rows) ** 2, axis=-1),
+                        fk if problem.companion is None else problem.G(rows),
+                        np.abs(rows - problem.x_star).max(axis=-1)))
 
-    times, ent, gn, comp, dist = [], [], [], [], []
-
-    def record(t, y, f):
-        times.append(t)
-        ent.append(f)
-        gn.append(float(np.sum(problem.grad_F(y) ** 2)))
-        comp.append(f if problem.companion is None else problem.G(y))
-        dist.append(float(np.abs(y - problem.x_star).max()))
-
-    f_prev = problem.F(x)
-    record(0.0, x, f_prev)
-    for k in range(1, nsteps + 1):
-        x = _rk4_step(rhs, x, dt)
-        f_now = problem.F(x)
-        if f_now > f_prev + 1e-10 * (1.0 + abs(f_prev)):
-            raise StepUnstable(
-                f"F increased from {f_prev} to {f_now} at step {k}")
-        f_prev = f_now
-        if k % every == 0 or k == nsteps:
-            record(k * dt, x, f_now)
-
-    return _make_trace(times, ent, gn, comp, dist, steps=nsteps)
+    return _make_trace(*map(np.concatenate, zip(*records)), steps=nsteps)
 
 
 def _condition_margin(problem: FiniteDimProblem, x, g):

@@ -1,5 +1,8 @@
 """Finite-dimensional gradient flows and the fast-diffusion machinery."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,119 @@ def test_step_unstable_detected():
     prob = FiniteDimProblem(Q=2.0 * np.eye(1), rho=2.0)
     with pytest.raises(StepUnstable):
         fd_flow(prob, np.array([1.0]), T=4.0, dt=2.0)
+
+
+def _reference_fd_flow(problem, x0, T, dt):
+    """The per-step loop that ``fd_flow`` batches: F after every step, and
+    grad F, G and the distance to x* one recorded point at a time."""
+    x = np.array(x0, dtype=float)
+    nsteps = math.ceil(T / dt - 1e-9)
+    dt = T / nsteps
+    every = max(1, math.ceil(nsteps / flows.MAX_RECORDS))
+    rhs = lambda y: -problem.grad_F(y)
+    times, ent, gn, comp, dist = [], [], [], [], []
+
+    def record(t, y, f):
+        times.append(t)
+        ent.append(f)
+        gn.append(float(np.sum(problem.grad_F(y) ** 2)))
+        comp.append(f if problem.companion is None else problem.G(y))
+        dist.append(float(np.abs(y - problem.x_star).max()))
+
+    f_prev = problem.F(x)
+    record(0.0, x, f_prev)
+    for k in range(1, nsteps + 1):
+        x = _rk4_step(rhs, x, dt)
+        f_now = problem.F(x)
+        if f_now > f_prev + 1e-10 * (1.0 + abs(f_prev)):
+            raise StepUnstable(
+                f"F increased from {f_prev} to {f_now} at step {k}")
+        f_prev = f_now
+        if k % every == 0 or k == nsteps:
+            record(k * dt, x, f_now)
+    return flows._make_trace(times, ent, gn, comp, dist, steps=nsteps)
+
+
+@pytest.mark.parametrize("problem, x0, T, dt", [
+    # nsteps below, equal to and above MAX_RECORDS, and 12434 steps, which
+    # is not a multiple of the block
+    (FiniteDimProblem(Q=np.diag([0.5, 2.0, 3.0]), rho=0.5),
+     [1.0, -0.5, 0.25], 2.0, 0.005),
+    (FiniteDimProblem(Q=0.5 * np.eye(5), rho=0.5),
+     [1.5, -1.0, 0.3, 0.0, -2.0], 5.0, 0.005),
+    (FiniteDimProblem(Q=2.0 * np.eye(3), rho=2.0, eps=0.1),
+     np.ones(3), 20.0, 0.005),
+    (FiniteDimProblem(Q=np.diag([1.0, 1.5]), rho=1.0,
+                      companion=_BAD_COMPANION),
+     [0.7, -1.2], 37.3, 0.003),
+], ids=["quadratic-400", "quadratic-1000", "quartic-4000",
+        "companion-12434"])
+def test_fd_flow_matches_per_step_reference(problem, x0, T, dt):
+    trace = fd_flow(problem, x0, T, dt)
+    ref = _reference_fd_flow(problem, x0, T, dt)
+    for name in ("times", "entropy", "grad_norm_sq", "companion",
+                 "dissipation_residual", "sup_distance"):
+        assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+    assert trace.steps == ref.steps
+
+
+def test_fd_flow_dense_q_matches_reference_to_roundoff():
+    # a batched x @ Q (gemm) rounds differently from a one-row x @ Q (gemv);
+    # the states are stepped one row at a time in both, so they stay equal
+    rng = np.random.default_rng(4)
+    A = rng.uniform(-1.0, 1.0, (4, 4))
+    prob = FiniteDimProblem(Q=A @ A.T + np.eye(4), rho=1.0, eps=0.05)
+    x0 = rng.uniform(-2.0, 2.0, 4)
+    trace = fd_flow(prob, x0, T=6.0, dt=0.004)
+    ref = _reference_fd_flow(prob, x0, T=6.0, dt=0.004)
+    assert len(trace.times) == len(ref.times) == 751
+    for name in ("times", "sup_distance"):
+        assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
+    for name in ("entropy", "grad_norm_sq", "companion"):
+        assert np.allclose(getattr(trace, name), getattr(ref, name),
+                           rtol=1e-14, atol=0.0), name
+
+
+@pytest.mark.parametrize("dt, steps", [(0.3, 4), (0.4, 3)])
+def test_fd_flow_ends_at_T(dt, steps):
+    prob = FiniteDimProblem(Q=np.eye(2), rho=1.0)
+    trace = fd_flow(prob, np.ones(2), T=1.0, dt=dt)
+    assert trace.times[-1] == 1.0 and trace.summary()["T"] == 1.0
+    assert trace.steps == steps
+    assert np.allclose(np.diff(trace.times), 1.0 / steps, rtol=1e-12)
+
+
+@pytest.mark.parametrize("x2, message", [
+    (1e-150, "F increased from 1.3785893819768644e-05 to "
+             "1.378800958436463e-05 at step 1052"),
+    (1e-300, "F increased from 4.787450858923511e-10 to "
+             "6.392189214551528e-10 at step 2126"),
+])
+def test_step_unstable_after_first_block(x2, message):
+    # dt = 0.005 is outside RK4's stability interval for the eigenvalue
+    # 600, so the tiny second component grows until F rises, past the
+    # first block of MAX_RECORDS steps
+    prob = FiniteDimProblem(Q=np.diag([1.0, 600.0]), rho=1.0)
+    with pytest.raises(StepUnstable) as info:
+        fd_flow(prob, np.array([1.0, x2]), T=20.0, dt=0.005)
+    assert str(info.value) == message
+    with pytest.raises(StepUnstable) as info:
+        _reference_fd_flow(prob, np.array([1.0, x2]), T=20.0, dt=0.005)
+    assert str(info.value) == message
+
+
+def test_fd_flow_memory_is_bounded():
+    # the full trajectory of 20,000 steps in dim 50 would take 8 MB
+    prob = FiniteDimProblem(Q=np.eye(50), rho=1.0)
+    x0 = np.linspace(-1.0, 1.0, 50)
+    tracemalloc.start()
+    try:
+        trace = fd_flow(prob, x0, T=20.0, dt=0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == 20000 and len(trace.times) == 1001
+    assert peak < 1_000_000
 
 
 def test_condition_margin():

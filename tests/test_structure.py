@@ -81,3 +81,19 @@ def test_hessian_path_stays_independent_of_gamma2():
     forbidden = {"_gamma_terms", "gamma2", "_hessian_quadform",
                  "renyi_hessian_quadform"}
     assert names & forbidden == set()
+
+
+def test_fd_flow_steps_without_evaluating():
+    # fd_flow evaluates F, grad F and G once per block of steps; a call
+    # added to its stepping loop would evaluate them once per step again
+    tree = _modules()["flows"]
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "fd_flow")
+    loops = [node for node in ast.walk(body) if isinstance(node, ast.For)]
+    innermost = [loop for loop in loops
+                 if not any(isinstance(node, ast.For) and node is not loop
+                            for node in ast.walk(loop))]
+    assert len(innermost) == 1
+    calls = [node for stmt in innermost[0].body for node in ast.walk(stmt)
+             if isinstance(node, ast.Call)]
+    assert [ast.unparse(call.func) for call in calls] == ["_rk4_step"]
