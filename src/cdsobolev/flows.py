@@ -194,8 +194,8 @@ def fd_flow(problem: FiniteDimProblem, x0, T: float, dt: float) -> FlowTrace:
     if dt <= 0.0 or T < dt:
         raise InvalidParameter("need dt > 0 and T >= dt")
     x = np.array(x0, dtype=float)
-    if x.shape != (problem.dim,):
-        raise InvalidConfig(f"x0 must have shape ({problem.dim},)")
+    if x.shape != (problem.dim,) or not np.isfinite(x).all():
+        raise InvalidConfig(f"x0 must be finite, of shape ({problem.dim},)")
     nsteps = math.ceil(T / dt - 1e-9)
     dt = T / nsteps
     every = max(1, math.ceil(nsteps / MAX_RECORDS))
@@ -207,10 +207,12 @@ def fd_flow(problem: FiniteDimProblem, x0, T: float, dt: float) -> FlowTrace:
         for i in range(1, n + 1):
             block[i] = x = _rk4_step(problem.grad_F, x, -dt)
         f = problem.F(block[:n + 1])
-        up = np.flatnonzero(f[1:] > f[:-1] + 1e-10 * (1.0 + np.abs(f[:-1])))
-        if up.size:
-            raise StepUnstable(f"F increased from {f[up[0]]} to "
-                               f"{f[up[0] + 1]} at step {k0 + up[0] + 1}")
+        bad = ~np.isfinite(f)  # a NaN fails no comparison: test it apart
+        bad[1:] |= f[1:] > f[:-1] + 1e-10 * (1.0 + np.abs(f[:-1]))
+        if bad.any():
+            i = int(bad.argmax())
+            rise = f"increased from {f[i - 1]} to" if np.isfinite(f[i]) else "="
+            raise StepUnstable(f"F {rise} {f[i]} at step {k0 + i}")
         k = np.arange(k0 + (k0 > 0), k0 + n + 1)
         k = k[(k % every == 0) | (k == nsteps)]
         rows, fk = block[k - k0], f[k - k0]

@@ -21,7 +21,8 @@ differencing W.
 
 The finite-volume stiffness S lives here only: its bands, its stencil and
 one tridiagonal factor/solve (``fv_stiffness``, ``apply_stiffness``,
-``tridiagonal_solver``).
+``tridiagonal_solver``).  LAPACK loads on the first solve, not at import:
+``scipy.linalg`` takes about 0.3 s to import, and most checks never solve.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InvalidConfig, SingularMatrix, SpaceMismatch
 
@@ -302,6 +302,7 @@ def apply_stiffness(bands, v: np.ndarray) -> np.ndarray:
 def tridiagonal_solver(lower, diag, upper, corners=(0.0, 0.0)):
     """Factor the tridiagonal T once (LAPACK gttrf); return b -> T^{-1} b.
 
+    LAPACK is imported on the first call: ``scipy.linalg`` costs about 0.3 s.
     b may be a vector or an N x k array.  ``corners`` = (T[0, N-1],
     T[N-1, 0]) close T cyclically: T = B + u v^T with B tridiagonal,
     u = (g, 0.., lo), v = (1, 0.., up/g), and Sherman-Morrison gives
@@ -309,6 +310,7 @@ def tridiagonal_solver(lower, diag, upper, corners=(0.0, 0.0)):
     Raises ``SingularMatrix`` on a zero pivot or on 1 + v.z lost to
     cancellation.
     """
+    from scipy.linalg import lapack
     up, lo = corners
     diag = np.array(diag, dtype=float)
     g = -diag[0] or 1.0  # B[0, 0] = 2 T[0, 0]: no cancellation

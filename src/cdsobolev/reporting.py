@@ -29,8 +29,6 @@ def fmt_float(x: float) -> str:
 def _fmt_cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int,)):
-        return str(x)
     if isinstance(x, float):
         return fmt_float(x)
     return str(x)
@@ -92,14 +90,11 @@ def write_json(path: str, obj) -> None:
 
 def field_csv_text(space: ModelSpace, columns: dict) -> str:
     """CSV with a theta column followed by one column per named field."""
-    names = list(columns)
-    arrays = []
-    for name in names:
-        col = columns[name]
-        arrays.append(col.values if isinstance(col, ScalarField) else col)
+    arrays = [col.values if isinstance(col, ScalarField) else col
+              for col in columns.values()]
     rows = ((float(space.grid[i]), *(float(a[i]) for a in arrays))
             for i in range(space.resolution))
-    return csv_text(["theta"] + names, rows)
+    return csv_text(["theta", *columns], rows)
 
 
 def write_field_csv(path: str, space: ModelSpace, columns: dict) -> None:

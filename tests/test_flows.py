@@ -175,6 +175,29 @@ def test_fd_flow_ends_at_T(dt, steps):
     assert np.allclose(np.diff(trace.times), 1.0 / steps, rtol=1e-12)
 
 
+@pytest.mark.parametrize("x0, message", [
+    (1e30, "F = nan at step 1"),    # F(x0) finite, the first step overflows
+    (1e60, "F = nan at step 1"),
+    (1e80, "F = inf at step 0"),    # F(x0) itself overflows
+    (1e100, "F = inf at step 0"),
+])
+def test_non_finite_entropy_is_unstable(x0, message):
+    # NaN fails every comparison, so the Lyapunov test alone let these flows
+    # return an all-NaN trace
+    prob = FiniteDimProblem(Q=np.eye(1), rho=1.0, eps=0.1)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StepUnstable) as info:
+        fd_flow(prob, (x0,), T=1.0, dt=0.01)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("x0", [(math.nan,), (math.inf,), (1.0, 1.0)])
+def test_fd_flow_rejects_bad_x0(x0):
+    prob = FiniteDimProblem(Q=np.eye(1), rho=1.0, eps=0.1)
+    with pytest.raises(InvalidConfig, match="finite, of shape"):
+        fd_flow(prob, x0, T=1.0, dt=0.01)
+
+
 @pytest.mark.parametrize("x2, message", [
     (1e-150, "F increased from 1.3785893819768644e-05 to "
              "1.378800958436463e-05 at step 1052"),

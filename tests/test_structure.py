@@ -1,7 +1,11 @@
-"""Static structure of the package: import graph and sparse-matrix use."""
+"""Structure of the package: import graph, scipy use and import cost."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cdsobolev"
 
@@ -25,18 +29,40 @@ def _relative_imports(tree, modules):
     return out
 
 
+def _imported_names(node):
+    """Absolute names an import statement binds; [] for any other node."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+def _imports_from(node, package):
+    return any(n == package or n.startswith(package + ".")
+               for n in _imported_names(node))
+
+
 def _imports_scipy_sparse(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [f"{node.module}.{a.name}" for a in node.names]
-        else:
-            continue
-        if any(n == "scipy.sparse" or n.startswith("scipy.sparse.")
-               for n in names):
-            return True
-    return False
+    return any(_imports_from(node, "scipy.sparse") for node in ast.walk(tree))
+
+
+def _scipy_import_owners(tree):
+    """The innermost enclosing function of each scipy import in ``tree``;
+    None for one that runs at import (module or class body)."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if _imports_from(child, "scipy"):
+                owners.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return owners
 
 
 def test_relative_import_graph_is_acyclic():
@@ -66,6 +92,51 @@ def test_no_module_imports_scipy_sparse():
     users = sorted(name for name, tree in _modules().items()
                    if _imports_scipy_sparse(tree))
     assert users == []
+
+
+def test_scipy_is_imported_only_by_the_tridiagonal_solve():
+    # importing scipy.linalg takes about 0.3 s, and only the tridiagonal
+    # solve needs it, so no module may import scipy when it is loaded
+    users = [(name, owner) for name, tree in _modules().items()
+             for owner in _scipy_import_owners(tree)]
+    assert users == [("model_space", "tridiagonal_solver")]
+
+
+_COLD_IMPORT = """
+import json, sys
+import numpy as np
+import cdsobolev, cdsobolev.cli
+loaded = {"import": "scipy.linalg" in sys.modules}
+rc = cdsobolev.cli.main(["verify-cd", "--out", sys.argv[1]])
+loaded["verify-cd"] = "scipy.linalg" in sys.modules
+from cdsobolev.model_space import tridiagonal_solver
+lower, diag, upper = [1.0, -2.0, 0.5], [4.0, 3.0, 5.0, 6.0], [0.5, 1.0, -1.0]
+dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+dense[0, -1], dense[-1, 0] = corners = (0.7, -0.3)
+b = np.array([1.0, 2.0, -1.0, 0.5])
+x = tridiagonal_solver(lower, diag, upper, corners)(b)
+loaded["solve"] = "scipy.linalg" in sys.modules
+err = float(np.abs(x - np.linalg.solve(dense, b)).max())
+print(json.dumps({"rc": rc, "loaded": loaded, "err": err}))
+"""
+
+
+def test_cold_import_leaves_lapack_unloaded(tmp_path):
+    # a fresh interpreter: this process has scipy.linalg loaded by other
+    # test modules
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]]
+                                 if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["rc"] == 0
+    assert result["loaded"] == {"import": False, "verify-cd": False,
+                                "solve": True}
+    assert result["err"] < 1e-14
 
 
 def test_hessian_path_stays_independent_of_gamma2():
