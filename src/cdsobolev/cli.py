@@ -1,11 +1,10 @@
-"""Command-line front end: every experiment as a reproducible command.
+"""Command-line front end: config parsing and the ``COMMANDS`` table.
 
-Each command reads a JSON config (unknown keys rejected), writes CSV/JSON/SVG
-artifacts plus a manifest under the output directory, and exits 0 when all
-checks pass, 1 on a check failure (manifest still written), 2 on an invalid
-config, 3 on an I/O failure.  Flags override config values.  Wall-clock
-timings go to a sidecar file so re-running with the same config and seed
-reproduces every other artifact byte-for-byte.
+A row per command names the config keys it accepts (others are rejected),
+the parser that turns a config and the flags into keyword arguments, and the
+``acceptance`` function that runs the experiment and writes every artifact,
+the manifest included.  Exit codes: 0 when all checks pass, 1 on a check
+failure (manifest still written), 2 on an invalid config, 3 on I/O failure.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import json
 import math
 import os
 import sys
-import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,14 +22,11 @@ from . import acceptance
 from .errors import (InvalidAlpha, InvalidConfig, InvalidExponent,
                      InvalidParameter, NonPositiveField,
                      NotAProbabilityDensity, SpaceMismatch, UnsupportedKind)
-from .gamma_calculus import bochner_residual, cauchy_schwarz_margin, cd_margin
 from .model_space import ModelSpace, build_space
-from .reporting import (ensure_dir, write_csv, write_field_csv, write_json,
-                        write_svg)
-from .sobolev import (a_star, critical_exponent, extremal_field, lq_norm,
-                      sobolev_deficit)
-from .variational import (MinimizeOptions, critical_limit_sweep,
-                          minimize_subcritical, rigidity_scan)
+from .sobolev import critical_exponent, extremal_field
+# critical_limit_sweep is re-exported: benchmarks/workloads.py runs the sweep
+# as cli.critical_limit_sweep
+from .variational import MinimizeOptions, critical_limit_sweep  # noqa: F401
 
 CONFIG_ERRORS = (InvalidConfig, InvalidExponent, InvalidParameter,
                  UnsupportedKind, InvalidAlpha, SpaceMismatch,
@@ -96,8 +92,26 @@ def _check_weights(values: list, context: str) -> None:
                                 f"[{A_MIN:g}, {A_MAX:g}]")
 
 
-def _init_and_options(cfg: dict, space: ModelSpace):
-    """The cosine-bump start profile and the minimizer options of a config."""
+def _space(cfg: dict, resolution, default_resolution=512) -> ModelSpace:
+    """The config's space (sphere d=3 by default) at the flag's resolution."""
+    spec = {"kind": "sphere_radial", "d": 3, "n": 3.0,
+            "resolution": default_resolution}
+    block = cfg.get("space", {})
+    _check_keys(block, SPACE_KEYS, "space")
+    spec.update(block)
+    if "n" not in block and "d" in block and spec["kind"] == "sphere_radial":
+        spec["n"] = block["d"]
+    if resolution is not None:
+        spec["resolution"] = resolution
+    return build_space(spec["kind"], _integer(spec, "d", None, "space"),
+                       _number(spec, "n", None, "space"),
+                       _integer(spec, "resolution", None, "space"))
+
+
+def _minimizer(cfg: dict, resolution, default_resolution=512) -> dict:
+    """The space, q, cosine-bump start profile and minimizer options of the
+    minimizing commands."""
+    space = _space(cfg, resolution, default_resolution)
     init_spec = cfg.get("init", {"kind": "cosine_bump", "amplitude": 0.4})
     _check_keys(init_spec, {"kind", "amplitude"}, "init")
     if init_spec.get("kind", "cosine_bump") != "cosine_bump":
@@ -108,155 +122,44 @@ def _init_and_options(cfg: dict, space: ModelSpace):
         tol=_number(cfg, "tol", MinimizeOptions.tol, "config"),
         max_iter=_integer(cfg, "max_iter", MinimizeOptions.max_iter, "config"),
         raise_on_failure=False)
-    return init, opts
+    return {"space": space, "q": _number(cfg, "q", 5.0, "config"),
+            "init": init, "opts": opts}
 
 
-def _space_from_config(cfg: dict, resolution_override=None,
-                       default=None) -> ModelSpace:
-    spec = dict(default or {"kind": "sphere_radial", "d": 3, "n": 3.0,
-                            "resolution": 512})
-    block = cfg.get("space", {})
-    _check_keys(block, SPACE_KEYS, "space")
-    spec.update(block)
-    if "n" not in block and "d" in block and spec["kind"] == "sphere_radial":
-        spec["n"] = block["d"]
-    if resolution_override is not None:
-        spec["resolution"] = resolution_override
-    return build_space(spec["kind"], _integer(spec, "d", None, "space"),
-                       _number(spec, "n", None, "space"),
-                       _integer(spec, "resolution", None, "space"))
+def _verify_cd(cfg, seed, resolution):
+    return {"space": _space(cfg, resolution), "seed": seed,
+            "corpus_size": _integer(cfg, "corpus_size", 50, "config",
+                                    minimum=1),
+            "tolerance": _number(cfg, "tolerance", 5e-3, "config")}
 
 
-# ---------------------------------------------------------------------------
-# command handlers: each returns a list of CheckResult and writes artifacts
-# ---------------------------------------------------------------------------
-
-def _cmd_verify_cd(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir", "corpus_size",
-                      "tolerance"}, "verify-cd config")
-    space = _space_from_config(cfg, resolution)
-    count = _integer(cfg, "corpus_size", 50, "config", minimum=1)
-    tol = _number(cfg, "tolerance", 5e-3, "config")
-    rng = np.random.default_rng(seed)
-    rows = []
-    first = None
-    for i in range(count):
-        # pointwise margins need a gentler corpus than the integrated
-        # deficit checks: the discrete Gamma_2 error grows with the
-        # fourth derivative of the field
-        f = (space.field_from_function(np.cos) if i == 0
-             else acceptance.trig_poly_field(space, rng, degree=2,
-                                             amplitude=0.5))
-        rep = cd_margin(space, f)
-        if first is None:
-            first = rep
-        rows.append((i, rep.cd_margin_min))
-    write_csv(os.path.join(out, "cd_margins.csv"),
-              ["index", "cd_margin_min"], rows)
-    write_field_csv(os.path.join(out, "cd_pointwise.csv"), space,
-                    {"gamma": first.gamma_field, "gamma2": first.gamma2_field,
-                     "Lphi": first.l_field, "cd_margin": first.cd_margin_field})
-    write_json(os.path.join(out, "cd_summary.json"),
-               {**first.to_json_dict(), "corpus_size": count,
-                "min_margin_over_corpus": min(r[1] for r in rows)})
-    worst = min(r[1] for r in rows)
-    return [acceptance.CheckResult(
-        "cd_margin_nonnegative", worst >= -tol, worst, -tol,
-        f"min pointwise curvature-dimension margin over {count} fields")]
+def _bochner(cfg, seed, resolution):
+    return {"space": _space(cfg, resolution),
+            "tolerance": _number(cfg, "tolerance", 1e-3, "config")}
 
 
-def _cmd_bochner(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir", "tolerance"},
-                "bochner config")
-    space = _space_from_config(cfg, resolution)
-    tol = _number(cfg, "tolerance", 1e-3, "config")
-    f = space.field_from_function(np.cos)
-    resid = bochner_residual(space, f)
-    cs_min = float(cauchy_schwarz_margin(space, f).values.min())
-    write_json(os.path.join(out, "bochner.json"),
-               {"residual": resid, "cauchy_schwarz_min": cs_min,
-                "resolution": space.resolution})
-    checks = [
-        acceptance.CheckResult("bochner_bracket", resid <= tol, resid, tol,
-                               "interior sup-norm gap between Gamma_2 and "
-                               "the radial Hessian-plus-Ricci bracket"),
-        acceptance.CheckResult("hessian_cauchy_schwarz", cs_min >= -tol,
-                               cs_min, -tol,
-                               "pointwise ||Hess||^2 - (Delta f)^2/d"),
-    ]
-    return checks
-
-
-def _cmd_sobolev_deficit(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir", "q", "v"},
-                "sobolev-deficit config")
-    space = _space_from_config(
-        cfg, resolution, {"kind": "sphere_radial", "d": 3, "n": 3.0,
-                          "resolution": 1024})
+def _sobolev_deficit(cfg, seed, resolution):
+    space = _space(cfg, resolution, 1024)
     q = _number(cfg, "q", critical_exponent(space.n), "config")
     vspec = cfg.get("v", {"kind": "extremal", "beta": 2.0})
     _check_keys(vspec, {"kind", "beta"}, "v")
-    if vspec.get("kind", "extremal") == "extremal":
+    kind = vspec.get("kind", "extremal")
+    if kind == "extremal":
         v = extremal_field(space, _number(vspec, "beta", 2.0, "v"))
-        is_extremal = True
-    elif vspec["kind"] == "trig_poly":
+    elif kind == "trig_poly":
         v = acceptance.trig_poly_field(space, np.random.default_rng(seed))
-        is_extremal = False
     else:
-        raise InvalidConfig(f"unknown v kind {vspec['kind']!r}")
-    rep = sobolev_deficit(space, v, q)
-    write_json(os.path.join(out, "sobolev_deficit.json"), rep.to_json_dict())
-    write_field_csv(os.path.join(out, "field.csv"), space, {"v": v})
-    checks = [acceptance.CheckResult(
-        "deficit_nonnegative", rep.deficit >= -1e-6 * (1.0 + rep.rhs),
-        rep.deficit / (1.0 + rep.rhs), -1e-6,
-        "scaled Sobolev deficit of the configured field")]
-    if is_extremal:
-        checks.append(acceptance.CheckResult(
-            "extremal_saturates", abs(rep.deficit_rel) <= 1e-3,
-            abs(rep.deficit_rel), 1e-3,
-            "relative deficit of the extremal profile"))
-    return checks
+        raise InvalidConfig(f"unknown v kind {kind!r}")
+    return {"space": space, "v": v, "q": q, "extremal": kind == "extremal"}
 
 
-def _cmd_extremal_sweep(cfg, out, seed, resolution):
-    _check_keys(cfg, {"seed", "output_dir"}, "extremal-sweep config")
-    return [acceptance.check_extremal_saturation(out)]
-
-
-def _cmd_minimize(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir", "A", "q", "init", "tol",
-                      "max_iter"}, "minimize config")
-    space = _space_from_config(cfg, resolution)
+def _minimize(cfg, seed, resolution):
     A = _number(cfg, "A", 2.1, "config")
     _check_weights([A], "config")
-    q = _number(cfg, "q", 5.0, "config")
-    init, opts = _init_and_options(cfg, space)
-    rep = minimize_subcritical(space, A, q, init, opts)
-    write_json(os.path.join(out, "minimizer.json"), rep.to_json_dict())
-    write_field_csv(os.path.join(out, "minimizer.csv"), space,
-                    {"v": rep.minimizer})
-    norm_err = abs(lq_norm(space, rep.minimizer, q) - 1.0)
-    return [
-        acceptance.CheckResult("minimize_converged", rep.converged,
-                               float(rep.iterations), float(opts.max_iter),
-                               f"backward error {rep.backward_error:.3e} "
-                               f"(tol {opts.tol:.0e})"),
-        acceptance.CheckResult("constraint_unit_lq_norm", norm_err <= 1e-10,
-                               norm_err, 1e-10, "| ||v||_q - 1 |"),
-        acceptance.CheckResult("minimizer_nonnegative",
-                               rep.minimizer.min() >= 0.0,
-                               rep.minimizer.min(), 0.0, "pointwise min of v"),
-    ]
+    return {**_minimizer(cfg, resolution), "A": A}
 
 
-def _cmd_rigidity_scan(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir", "q", "A_list", "A_range",
-                      "f", "init", "tol", "max_iter"}, "rigidity-scan config")
-    space = _space_from_config(
-        cfg, resolution, {"kind": "sphere_radial", "d": 3, "n": 3.0,
-                          "resolution": 2048})
-    q = _number(cfg, "q", 5.0, "config")
+def _rigidity_scan(cfg, seed, resolution):
     if "A_list" in cfg and "A_range" in cfg:
         raise InvalidConfig("give A_list or A_range, not both")
     if "A_list" in cfg:
@@ -273,101 +176,51 @@ def _cmd_rigidity_scan(cfg, out, seed, resolution):
     _check_keys(f_block, {"kind", "s"}, "f")
     f_spec = {"kind": f_block.get("kind", "constant"),
               "s": _number(f_block, "s", 0.0, "f")}
-    init, opts = _init_and_options(cfg, space)
-    entries = rigidity_scan(space, q, a_values, f_spec, init, opts)
-    astar = a_star(critical_exponent(q), space.rho)
-    worst_rel = max(e.identity_rel for e in entries)
-    acceptance.write_rigidity_csv(os.path.join(out, "rigidity_scan.csv"),
-                                  entries)
-    write_svg(os.path.join(out, "rigidity_scan.svg"),
-              [("constancy", [e.A_over_a_star for e in entries],
-                [min(e.report.constancy, 10.0) for e in entries])],
-              title=f"constancy of the minimizer across A/A*, q={q}",
-              xlabel="A / A*", ylabel="constancy (clipped at 10)")
-    checks = [
-        acceptance.CheckResult(
-            "scan_converged", all(e.report.converged for e in entries),
-            float(sum(e.report.converged for e in entries)),
-            float(len(entries)), "minimizations converged at every A"),
-        acceptance.CheckResult(
-            "identity_residual", worst_rel <= 1e-3, worst_rel, 1e-3,
-            "max scale-relative Gamma_2 identity residual over the scan"),
-        acceptance.CheckResult(
-            "rigidity_above_threshold",
-            all(e.report.constancy <= 1e-6 for e in entries
-                if e.report.A >= astar - 1e-12),
-            max([e.report.constancy for e in entries
-                 if e.report.A >= astar - 1e-12], default=0.0), 1e-6,
-            "constancy of every minimizer with A >= A*"),
-    ]
-    return checks
+    return {**_minimizer(cfg, resolution, 2048), "a_values": a_values,
+            "f_spec": f_spec}
 
 
-def _cmd_critical_limit(cfg, out, seed, resolution):
-    _check_keys(cfg, {"space", "seed", "output_dir", "q_list"},
-                "critical-limit config")
-    space = _space_from_config(
-        cfg, resolution, {"kind": "sphere_radial", "d": 3, "n": 3.0,
-                          "resolution": 1024})
-    q_list = _number_list(cfg, "q_list", [5.0, 5.5, 5.8, 5.95], "config")
-    table, extrapolated, warnings = critical_limit_sweep(space, q_list)
-    for msg in warnings:
-        print(f"warning: {msg}", file=sys.stderr)
-    acceptance.write_critical_limit_csv(
-        os.path.join(out, "critical_limit.csv"), table)
-    limit = a_star(space.n, space.rho)
-    doc = {"table_length": len(table), "warnings": warnings,
-           "critical_a_star": limit}
-    checks = [acceptance.CheckResult(
-        "sweep_converged", all(r["converged"] for r in table),
-        float(sum(r["converged"] for r in table)), float(len(table)),
-        "minimization at A = A*(d'(q)) converged for every q")]
-    if extrapolated is not None:
-        doc["extrapolated_a_star"] = extrapolated
-        near_critical = q_list[-1] >= 0.99 * critical_exponent(space.n)
-        if near_critical:
-            err = abs(extrapolated - limit)
-            checks.append(acceptance.CheckResult(
-                "extrapolated_threshold", err <= 1e-3, err, 1e-3,
-                "Richardson-extrapolated A*(d'(q)) vs the critical value"))
-    write_json(os.path.join(out, "critical_limit.json"), doc)
-    return checks
+def _critical_limit(cfg, seed, resolution):
+    return {"space": _space(cfg, resolution, 1024),
+            "q_list": _number_list(cfg, "q_list", list(acceptance.CRITICAL_Q),
+                                   "config")}
 
 
-def _cmd_flow_fd(cfg, out, seed, resolution):
-    _check_keys(cfg, {"seed", "output_dir"}, "flow-fd config")
-    return [acceptance.check_finite_dim_decay(out, seed)]
-
-
-def _cmd_flow_fast_diffusion(cfg, out, seed, resolution):
-    _check_keys(cfg, {"seed", "output_dir"}, "flow-fast-diffusion config")
-    N = int(resolution) if resolution else 256
-    return [acceptance.check_fast_diffusion_flow(out, N)]
-
-
-def _cmd_entropy_inequality(cfg, out, seed, resolution):
-    _check_keys(cfg, {"seed", "output_dir"}, "entropy-inequality config")
-    N = int(resolution) if resolution else 1024
-    return [acceptance.check_entropy_sobolev_equivalence(out, seed, N)]
-
-
-def _cmd_full_suite(cfg, out, seed, resolution):
-    _check_keys(cfg, {"seed", "output_dir"}, "full-suite config")
-    return acceptance.run_full_suite(out, seed)
+class Command(NamedTuple):
+    """A row of ``COMMANDS``: ``parse`` gives the keyword arguments (None
+    keeps the default) of the acceptance function named ``run``, looked up
+    on each call so that a wrapper installed on the module sees it."""
+    keys: set                 # config keys besides "seed" and "output_dir"
+    parse: Callable           # (cfg, seed, resolution) -> keyword arguments
+    run: str
+    resolution: bool = True   # whether --resolution applies
 
 
 COMMANDS = {
-    "verify-cd": _cmd_verify_cd,
-    "bochner": _cmd_bochner,
-    "sobolev-deficit": _cmd_sobolev_deficit,
-    "extremal-sweep": _cmd_extremal_sweep,
-    "minimize": _cmd_minimize,
-    "rigidity-scan": _cmd_rigidity_scan,
-    "critical-limit": _cmd_critical_limit,
-    "flow-fd": _cmd_flow_fd,
-    "flow-fast-diffusion": _cmd_flow_fast_diffusion,
-    "entropy-inequality": _cmd_entropy_inequality,
-    "full-suite": _cmd_full_suite,
+    "verify-cd": Command({"space", "corpus_size", "tolerance"}, _verify_cd,
+                         "run_verify_cd"),
+    "bochner": Command({"space", "tolerance"}, _bochner, "run_bochner"),
+    "sobolev-deficit": Command({"space", "q", "v"}, _sobolev_deficit,
+                               "run_sobolev_deficit"),
+    "extremal-sweep": Command(set(), lambda cfg, seed, res: {},
+                              "check_extremal_saturation", False),
+    "minimize": Command({"space", "A", "q", "init", "tol", "max_iter"},
+                        _minimize, "run_minimize"),
+    "rigidity-scan": Command({"space", "q", "A_list", "A_range", "f", "init",
+                              "tol", "max_iter"}, _rigidity_scan,
+                             "run_rigidity_scan"),
+    "critical-limit": Command({"space", "q_list"}, _critical_limit,
+                              "check_critical_limit"),
+    "flow-fd": Command(set(), lambda cfg, seed, res: {"seed": seed},
+                       "check_finite_dim_decay", False),
+    "flow-fast-diffusion": Command(
+        set(), lambda cfg, seed, res: {"resolution": res},
+        "check_fast_diffusion_flow"),
+    "entropy-inequality": Command(
+        set(), lambda cfg, seed, res: {"seed": seed, "resolution": res},
+        "check_entropy_sobolev_equivalence"),
+    "full-suite": Command(set(), lambda cfg, seed, res: {"seed": seed},
+                          "run_full_suite", False),
 }
 
 
@@ -398,6 +251,7 @@ def main(argv=None) -> int:
     parser.add_argument("--resolution", type=int, default=None,
                         help="grid resolution override")
     args = parser.parse_args(argv)
+    command = COMMANDS[args.command]
 
     try:
         cfg = _load_config(args.config)
@@ -407,29 +261,25 @@ def main(argv=None) -> int:
             or os.path.join("runs", args.command)
         seed = _integer({"seed": args.seed} if args.seed is not None
                         else cfg, "seed", 0, "config", minimum=0)
-        t0 = time.perf_counter()
-        ensure_dir(out)
-        result = COMMANDS[args.command](cfg, out, seed, args.resolution)
+        os.makedirs(out, exist_ok=True)
+        _check_keys(cfg, command.keys | {"seed", "output_dir"},
+                    f"{args.command} config")
+        if args.resolution is not None and not command.resolution:
+            raise InvalidConfig(f"{args.command} takes no --resolution")
+        kwargs = {k: v for k, v in command.parse(
+            cfg, seed, args.resolution).items() if v is not None}
+        config = {"command": args.command, "seed": seed, "output_dir": out,
+                  **{k: v for k, v in cfg.items()
+                     if k not in ("seed", "output_dir")}}
+        manifest = acceptance.run_command(
+            getattr(acceptance, command.run), out, config, kwargs)
     except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-
-    try:
-        if not isinstance(result, dict):  # full-suite wrote its own manifest
-            config = {"command": args.command, "seed": seed,
-                      "output_dir": out,
-                      **{k: v for k, v in cfg.items()
-                         if k not in ("seed", "output_dir")}}
-            result = acceptance.write_manifest(
-                out, config, result,
-                {"wall_clock_seconds": time.perf_counter() - t0})
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
-    return 0 if result["status"] == "pass" else 1
+    return 0 if manifest["status"] == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -291,13 +291,6 @@ def renyi_entropy(space: ModelSpace, mu: ScalarField, alpha: float) -> float:
     return _renyi_raw(space, mu.values, alpha)
 
 
-def renyi_pressure(space: ModelSpace, mu: ScalarField,
-                   alpha: float) -> ScalarField:
-    """Phi = mu^{alpha-1}/(alpha-1), the Otto-gradient potential of R_alpha."""
-    _check_alpha(alpha)
-    return space.field(mu.values ** (alpha - 1.0) / (alpha - 1.0))
-
-
 def renyi_grad_norm_sq(space: ModelSpace, mu: ScalarField,
                        alpha: float) -> float:
     """Squared Otto norm of grad R_alpha: int Gamma(Phi) mu dnu."""
@@ -496,7 +489,9 @@ def convexity_relation_margin(space: ModelSpace, mu: ScalarField,
         raise UnsupportedKind("the circle carries no positive CD bound")
     n = float(dim_param)
     alpha = 1.0 - 1.0 / n
-    phi = renyi_pressure(space, mu, alpha)
+    _check_alpha(alpha)
+    # Phi = mu^{alpha-1}/(alpha-1), the Otto-gradient potential of R_alpha
+    phi = space.field(mu.values ** (alpha - 1.0) / (alpha - 1.0))
     _check_density(space, mu)
     _, lphi, g, g2 = _gamma_terms(space, phi.values)
     quad = _hessian_quadform(space, mu, alpha, lphi, g2)

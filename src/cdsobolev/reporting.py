@@ -9,12 +9,13 @@ legend) with no external renderer.
 from __future__ import annotations
 
 import math
-import os
 
 from .errors import InvalidParameter
 from .model_space import ModelSpace, ScalarField
 
 FLOAT_FORMAT = ".17g"
+
+WIDTH, HEIGHT = 640, 480
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -80,25 +81,17 @@ def _json_fragment(obj, indent: int, level: int) -> str:
     raise InvalidParameter(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def json_text(obj, indent: int = 2) -> str:
-    return _json_fragment(obj, indent, 0) + "\n"
-
-
 def write_json(path: str, obj) -> None:
-    write_text(path, json_text(obj))
+    write_text(path, _json_fragment(obj, 2, 0) + "\n")
 
 
-def field_csv_text(space: ModelSpace, columns: dict) -> str:
+def write_field_csv(path: str, space: ModelSpace, columns: dict) -> None:
     """CSV with a theta column followed by one column per named field."""
     arrays = [col.values if isinstance(col, ScalarField) else col
               for col in columns.values()]
     rows = ((float(space.grid[i]), *(float(a[i]) for a in arrays))
             for i in range(space.resolution))
-    return csv_text(["theta", *columns], rows)
-
-
-def write_field_csv(path: str, space: ModelSpace, columns: dict) -> None:
-    write_text(path, field_csv_text(space, columns))
+    write_text(path, csv_text(["theta", *columns], rows))
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
@@ -111,8 +104,7 @@ def _px(x: float) -> str:
     return format(x, ".2f")
 
 
-def svg_line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
-                  width: int = 640, height: int = 480) -> str:
+def svg_line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
     """Render (label, xs, ys) series as an SVG polyline chart.
 
     Purely textual output: fixed canvas, linear axes with five ticks, legend
@@ -122,7 +114,7 @@ def svg_line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
     if not series:
         raise InvalidParameter("svg_line_plot needs at least one series")
     ml, mr, mt, mb = 70, 20, 30, 45
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
     xs_all = [float(x) for _, xs, _ in series for x in xs]
     ys_all = [float(y) for _, _, ys in series for y in ys]
     if not xs_all or not all(math.isfinite(v) for v in xs_all + ys_all):
@@ -140,9 +132,9 @@ def svg_line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
     def ty(y):
         return mt + ph - (y - y0) / (y1 - y0) * ph
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}" viewBox="0 0 {width} {height}">',
-           f'<rect width="{width}" height="{height}" fill="white"/>',
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+           f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+           f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
            f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
            'stroke="black" stroke-width="1"/>']
     for t in _ticks(x0, x1):
@@ -157,16 +149,13 @@ def svg_line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
                    f'y2="{_px(py)}" stroke="black"/>')
         out.append(f'<text x="{ml - 8}" y="{_px(py + 4)}" font-size="11" '
                    f'text-anchor="end">{format(t, ".6g")}</text>')
-    if title:
-        out.append(f'<text x="{width // 2}" y="20" font-size="14" '
-                   f'text-anchor="middle">{title}</text>')
-    if xlabel:
-        out.append(f'<text x="{ml + pw // 2}" y="{height - 8}" font-size="12" '
-                   f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        out.append(f'<text x="14" y="{mt + ph // 2}" font-size="12" '
-                   f'text-anchor="middle" '
-                   f'transform="rotate(-90 14 {mt + ph // 2})">{ylabel}</text>')
+    out.append(f'<text x="{WIDTH // 2}" y="20" font-size="14" '
+               f'text-anchor="middle">{title}</text>')
+    out.append(f'<text x="{ml + pw // 2}" y="{HEIGHT - 8}" font-size="12" '
+               f'text-anchor="middle">{xlabel}</text>')
+    out.append(f'<text x="14" y="{mt + ph // 2}" font-size="12" '
+               f'text-anchor="middle" '
+               f'transform="rotate(-90 14 {mt + ph // 2})">{ylabel}</text>')
     for k, (label, xs, ys) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
         pts = " ".join(f"{_px(tx(float(x)))},{_px(ty(float(y)))}"
@@ -174,10 +163,10 @@ def svg_line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.5"/>')
         ly = mt + 14 + 16 * k
-        out.append(f'<line x1="{width - mr - 110}" y1="{ly - 4}" '
-                   f'x2="{width - mr - 90}" y2="{ly - 4}" stroke="{color}" '
+        out.append(f'<line x1="{WIDTH - mr - 110}" y1="{ly - 4}" '
+                   f'x2="{WIDTH - mr - 90}" y2="{ly - 4}" stroke="{color}" '
                    'stroke-width="1.5"/>')
-        out.append(f'<text x="{width - mr - 85}" y="{ly}" '
+        out.append(f'<text x="{WIDTH - mr - 85}" y="{ly}" '
                    f'font-size="11">{label}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -185,7 +174,3 @@ def svg_line_plot(series, title: str = "", xlabel: str = "", ylabel: str = "",
 
 def write_svg(path: str, series, **kwargs) -> None:
     write_text(path, svg_line_plot(series, **kwargs))
-
-
-def ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)

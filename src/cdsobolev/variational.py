@@ -95,9 +95,7 @@ class RigidityEntry:
 
     @property
     def identity_residual(self) -> float:
-        """|int (Gamma_2(Phi) - (L Phi)^2/d' - (c/d') Gamma(Phi)) Phi^{1-d'}|."""
-        t_g2, t_lap, t_gam = self.identity_terms
-        return abs(t_g2 - t_lap - t_gam)
+        return _identity_residual(self.identity_terms)
 
     @property
     def identity_scale(self) -> float:
@@ -269,17 +267,28 @@ def pressure_pde_residual(space: ModelSpace, phi: ScalarField,
     return float(np.abs(res).max())
 
 
+def _identity_terms(space: ModelSpace, weight, lphi, g, g2, d_prime: float,
+                    c: float) -> tuple[float, float, float]:
+    """``gamma2_identity_terms`` from Phi^{1-d'}, L Phi, Gamma, Gamma_2."""
+    return (_quadrature(space, g2 * weight),
+            _quadrature(space, lphi ** 2 / d_prime * weight),
+            _quadrature(space, c / d_prime * g * weight))
+
+
+def _identity_residual(terms) -> float:
+    """|int (Gamma_2(Phi) - (L Phi)^2/d' - (c/d') Gamma(Phi)) Phi^{1-d'}|."""
+    t_g2, t_lap, t_gam = terms
+    return abs(t_g2 - t_lap - t_gam)
+
+
 def gamma2_identity_terms(space: ModelSpace, phi: ScalarField,
                           d_prime: float, c: float) -> tuple[float, float, float]:
     """The three integrals of the Gamma_2 identity, individually."""
     if phi.min() <= 0.0:
         raise NonPositiveField("pressure field must be positive")
-    weight = phi.values ** (1.0 - d_prime)
     _, lphi, g, g2 = _gamma_terms(space, phi.values)
-    t_g2 = _quadrature(space, g2 * weight)
-    t_lap = _quadrature(space, lphi ** 2 / d_prime * weight)
-    t_gam = _quadrature(space, c / d_prime * g * weight)
-    return t_g2, t_lap, t_gam
+    return _identity_terms(space, phi.values ** (1.0 - d_prime), lphi, g, g2,
+                           d_prime, c)
 
 
 def gamma2_identity_residual(space: ModelSpace, phi: ScalarField,
@@ -287,8 +296,7 @@ def gamma2_identity_residual(space: ModelSpace, phi: ScalarField,
     """|int (Gamma_2(Phi) - (L Phi)^2/d' - (c/d') Gamma(Phi)) Phi^{1-d'} dnu|."""
     if d_prime <= 2.0:
         raise InvalidParameter("d' must exceed 2")
-    t_g2, t_lap, t_gam = gamma2_identity_terms(space, phi, d_prime, c)
-    return abs(t_g2 - t_lap - t_gam)
+    return _identity_residual(gamma2_identity_terms(space, phi, d_prime, c))
 
 
 # nonincreasing C^1 right-hand-side families f(v) for the rigidity scan
@@ -311,23 +319,22 @@ def rigidity_terms(space: ModelSpace, report: MinimizerReport, f_prime):
     (rather than its critical limit n), so that for constant f the three
     terms recombine into the Gamma_2 integral identity and sum to ~0 at
     every converged solution.  Returns (term_cd, term_gap, term_f,
-    identity_terms), the last from ``gamma2_identity_terms`` at the same
-    pressure function Phi.
+    identity_terms), the last the integrals of ``gamma2_identity_terms``
+    from the same evaluation of Phi.
     """
     d_prime, lam, c = report.d_prime, report.lam, report.c
     v = el_solution(report.minimizer.values, report.i_value, report.q)
     vf = space.field(v)
     phi = pressure_transform(vf, report.q)
-    weight = space.field(phi.values ** (1.0 - d_prime))
+    weight = phi.values ** (1.0 - d_prime)
     _, lphi, g, g2 = _gamma_terms(space, phi.values)
     rho = space.rho
-    term_cd = _quadrature(
-        space, (g2 - rho * g - lphi ** 2 / d_prime) * weight.values)
-    term_gap = (rho - c / d_prime) * _quadrature(space, g * weight.values)
-    term_f = lam * _quadrature(
-        space, f_prime(v) * phi.values ** 2 * gamma(space, vf, weight).values)
-    return term_cd, term_gap, term_f, gamma2_identity_terms(space, phi,
-                                                            d_prime, c)
+    term_cd = _quadrature(space, (g2 - rho * g - lphi ** 2 / d_prime) * weight)
+    term_gap = (rho - c / d_prime) * _quadrature(space, g * weight)
+    term_f = lam * _quadrature(space, f_prime(v) * phi.values ** 2
+                               * gamma(space, vf, space.field(weight)).values)
+    return term_cd, term_gap, term_f, _identity_terms(space, weight, lphi, g,
+                                                      g2, d_prime, c)
 
 
 def rigidity_scan(space: ModelSpace, q: float, a_values,

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from cdsobolev import build_space
+from cdsobolev import acceptance, build_space
 from cdsobolev.cli import critical_limit_sweep, main
 from cdsobolev.errors import InvalidConfig, InvalidExponent
 
@@ -63,11 +63,20 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
                                  "resolution": 64}}),  # no A* at rho = 0
     ("critical-limit", {"space": {"kind": "circle", "d": 1, "n": 3.0,
                                   "resolution": 64}}),
+    ("sobolev-deficit", {"space": {"kind": "circle", "d": 1, "n": 3.0,
+                                   "resolution": 64},
+                         "v": {"kind": "trig_poly"}}),  # no deficit at rho = 0
+    # fixed experiments: no grid to set, or one outside the bounds
+    ("flow-fd --resolution 64", {}),
+    ("extremal-sweep --resolution 64", {}),
+    ("full-suite --resolution 64", {}),
+    ("flow-fast-diffusion --resolution 0", {}),
+    ("entropy-inequality --resolution 0", {}),
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
@@ -126,6 +135,41 @@ def test_rigidity_scan_command(tmp_path):
     assert header == ["A", "A_over_Astar", "q", "d_prime", "i_value",
                       "constancy", "el_residual", "identity_residual",
                       "term1", "term2", "term3", "converged"]
+
+
+def test_rigidity_and_critical_limit_commands_write_the_suite_artifacts(
+        tmp_path):
+    # each artifact has one writer: the commands run the suite's checks, so
+    # on the suite's scan and sweep they write the suite's bytes
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    scan = acceptance._rigidity_scan_shared()
+    acceptance.check_rigidity_threshold(scan, str(suite))
+    acceptance.check_integral_identity(scan, str(suite))
+    acceptance.check_critical_limit(str(suite))
+    out = str(tmp_path / "out")
+    cfg = write_config(tmp_path, {"A_list": [e.report.A for e in scan[3]]})
+    assert main(["rigidity-scan", "--config", cfg, "--out", out]) == 0
+    assert main(["critical-limit", "--out", out]) == 0
+    for name in ("rigidity_scan.csv", "rigidity_scan.svg",
+                 "integral_identity.csv", "critical_limit.csv",
+                 "critical_limit.json"):
+        assert (tmp_path / "out" / name).read_bytes() \
+            == (suite / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("a_list", [
+    [1.02, 1.05],  # constant on [A_bif, A*] = [1, 1.05]: no gate below A*
+    [0.05, 0.3],   # no A >= A*: nothing to plot
+])
+def test_rigidity_scan_gates(tmp_path, a_list):
+    cfg = write_config(tmp_path, {"A_list": a_list})
+    out = str(tmp_path / "out")
+    assert main(["rigidity-scan", "--config", cfg, "--out", out]) == 0
+    names = [c["name"] for c in read_manifest(out)["checks"]]
+    assert names == ["rigidity_threshold", "integral_identity"]
+    assert os.path.exists(os.path.join(out, "rigidity_scan.svg")) \
+        == (max(a_list) >= 1.05)
 
 
 def test_resolution_flag_overrides_config(tmp_path):

@@ -139,6 +139,17 @@ def test_cold_import_leaves_lapack_unloaded(tmp_path):
     assert result["err"] < 1e-14
 
 
+def test_cli_names_no_artifact_and_imports_no_writer():
+    # every artifact has one writer, in acceptance: the CLI only parses
+    # configs and dispatches
+    modules = _modules()
+    tree = modules["cli"]
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert [s for s in strings if s.endswith((".csv", ".json", ".svg"))] == []
+    assert "reporting" not in _relative_imports(tree, modules)
+
+
 def test_hessian_path_stays_independent_of_gamma2():
     # the path second derivative cross-checks the Gamma_2 formula, so it
     # must not be computed from that formula
