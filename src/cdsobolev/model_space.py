@@ -19,6 +19,10 @@ written straight into the interior of the next padded operand.  The drift
 W' is evaluated analytically as -(n-1) cot(theta), once per space, never by
 differencing W.
 
+``ModelSpace.field`` is the one boundary from values to a ``ScalarField``:
+one owned, read-only float copy; only a scalar (0-d) is broadcast, any other
+shape than the grid's raises ``SpaceMismatch``, a non-finite ``InvalidConfig``.
+
 The finite-volume stiffness S lives here only: its bands, its stencil and
 one tridiagonal factor/solve (``fv_stiffness``, ``apply_stiffness``,
 ``tridiagonal_solver``).  LAPACK loads on the first solve, not at import:
@@ -27,6 +31,7 @@ one tridiagonal factor/solve (``fv_stiffness``, ``apply_stiffness``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,9 +71,11 @@ class ModelSpace:
         return (self.kind, self.d, float(self.n), self.resolution)
 
     def field(self, values) -> "ScalarField":
-        """Wrap an array (or broadcastable scalar) as a field on this space."""
-        vals = np.broadcast_to(np.asarray(values, dtype=float),
-                               self.grid.shape).copy()
+        """One owned, read-only float copy of ``values`` as a field; only a
+        scalar (0-d) is broadcast, other shapes raise ``SpaceMismatch``."""
+        vals = np.array(values, dtype=float)
+        if vals.ndim == 0:
+            vals = np.full(self.grid.shape, vals)
         return ScalarField(vals, self)
 
     def field_from_function(self, fn) -> "ScalarField":
@@ -98,7 +105,7 @@ class ScalarField:
         if vals.shape != self.space.grid.shape:
             raise SpaceMismatch(
                 f"field has {vals.shape} values, grid has {self.space.grid.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise InvalidConfig("field values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -157,7 +164,7 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
 
 def _check_same_space(space: ModelSpace, *fields: ScalarField):
     for f in fields:
-        if f.space.key != space.key:
+        if f.space is not space and f.space.key != space.key:
             raise SpaceMismatch(
                 f"field lives on {f.space.key}, expected {space.key}")
 
@@ -199,7 +206,7 @@ def _quadrature(space: ModelSpace, values: np.ndarray) -> float:
     is finite exactly when every value is; raises ``InvalidConfig`` as
     ``space.field`` would otherwise."""
     total = float(np.dot(space.quad_weights, values))
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise InvalidConfig("field values must be finite")
     return total
 
@@ -242,8 +249,9 @@ def apply_L(space: ModelSpace, f: ScalarField) -> ScalarField:
 def gamma(space: ModelSpace, f: ScalarField, g: ScalarField) -> ScalarField:
     """Carre du champ Gamma(f, g) = f' g' pointwise."""
     _check_same_space(space, f, g)
-    return space.field(_diff1(space, _with_ghosts(space, f.values))
-                       * _diff1(space, _with_ghosts(space, g.values)))
+    df = _diff1(space, _with_ghosts(space, f.values))
+    dg = df if g is f else _diff1(space, _with_ghosts(space, g.values))
+    return space.field(df * dg)
 
 
 def gamma2(space: ModelSpace, f: ScalarField) -> ScalarField:

@@ -120,6 +120,12 @@ def el_solution(v: np.ndarray, i_value: float, q: float) -> np.ndarray:
     return i_value ** (1.0 / (q - 2.0)) * v
 
 
+def _check_subcritical(space: ModelSpace, q: float):
+    qc = critical_exponent(space.n)
+    if not 2.0 < q < qc:
+        raise InvalidExponent(f"q = {q} outside the subcritical range (2, {qc})")
+
+
 def minimize_subcritical(space: ModelSpace, A: float, q: float,
                          init: ScalarField,
                          opts: MinimizeOptions | None = None) -> MinimizerReport:
@@ -139,9 +145,7 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     opts = opts or MinimizeOptions()
     if A <= 0.0:
         raise InvalidParameter(f"A = {A} must be positive")
-    qc = critical_exponent(space.n)
-    if not (2.0 < q < qc):
-        raise InvalidExponent(f"q = {q} outside the subcritical range (2, {qc})")
+    _check_subcritical(space, q)
     if np.abs(init.values).max() == 0.0:
         raise InvalidParameter("init must be positive somewhere")
     if opts.max_iter < 1:
@@ -342,6 +346,7 @@ def rigidity_scan(space: ModelSpace, q: float, a_values,
                   init: ScalarField | None = None,
                   opts: MinimizeOptions | None = None) -> list[RigidityEntry]:
     """Minimize at each A (ascending) and report the rigidity diagnostics."""
+    _check_subcritical(space, q)
     a_values = [float(a) for a in a_values]
     if not a_values or sorted(a_values) != a_values:
         raise InvalidConfig("a_values must be nonempty and sorted ascending")
@@ -374,12 +379,10 @@ def critical_limit_sweep(space: ModelSpace, q_list,
     """
     qc = critical_exponent(space.n)
     q_list = [float(q) for q in q_list]
-    if not q_list or sorted(q_list) != q_list:
-        raise InvalidConfig("q_list must be nonempty and sorted ascending")
+    if not q_list or any(a >= b for a, b in zip(q_list, q_list[1:])):
+        raise InvalidConfig("q_list must be nonempty and strictly ascending")
     for q in q_list:
-        if not (2.0 < q < qc):
-            raise InvalidExponent(
-                f"q = {q} is not strictly subcritical (need 2 < q < {qc})")
+        _check_subcritical(space, q)
     init = space.field(1.0 + 0.4 * np.cos(space.grid))
     table = []
     for q in q_list:

@@ -72,6 +72,10 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     ("full-suite --resolution 64", {}),
     ("flow-fast-diffusion --resolution 0", {}),
     ("entropy-inequality --resolution 0", {}),
+    ("rigidity-scan", {"q": 2.0, "A_list": [1.0],
+                       "space": {"resolution": 64}}),  # A* needs q > 2
+    ("critical-limit", {"q_list": [5.0, 5.0],
+                        "space": {"resolution": 64}}),  # repeated q
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)

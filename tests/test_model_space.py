@@ -6,8 +6,8 @@ import scipy.sparse as sp
 
 from cdsobolev import apply_L, build_space, gamma, gamma2, ibp_residual, integrate
 from cdsobolev.errors import InvalidConfig, SingularMatrix, SpaceMismatch
-from cdsobolev.model_space import (_diff1, _diff2, _fill_ghosts,
-                                   apply_stiffness, fv_stiffness,
+from cdsobolev.model_space import (_check_same_space, _diff1, _diff2,
+                                   _fill_ghosts, apply_stiffness, fv_stiffness,
                                    tridiagonal_solver, weighted_laplacian_fv)
 
 
@@ -59,6 +59,71 @@ def test_field_immutability_and_space_mismatch():
     other = build_space("sphere_radial", 3, 3.0, 128)
     with pytest.raises(SpaceMismatch):
         gamma(space, f, other.field_from_function(np.cos))
+
+
+BOUNDARY_SPACES = pytest.mark.parametrize(
+    "kind,d,n", [("sphere_radial", 3, 3.0), ("jacobi", 2, 4.5),
+                 ("circle", 1, 1.0)])
+BOUNDARY_SIZES = pytest.mark.parametrize("N", [16, 257, 4096])
+
+
+@BOUNDARY_SPACES
+@BOUNDARY_SIZES
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_field_boundary_copies_and_validates(kind, d, n, N, seed):
+    space = build_space(kind, d, n, N)
+    rng = np.random.default_rng(seed)
+    src = rng.standard_normal(N)
+    kept = src.copy()
+    f = space.field(src)
+    src[:] = 7.0                                  # the field owns its copy
+    assert np.array_equal(f.values, kept)
+    assert np.array_equal(space.field(kept.tolist()).values, kept)
+    with pytest.raises(ValueError):
+        f.values[rng.integers(N)] = 0.0           # read-only
+    c = float(rng.uniform(-2.0, 2.0))
+    for scalar in (c, np.float64(c), np.array(c)):
+        assert np.array_equal(space.field(scalar).values, np.full(N, c))
+    for bad in (np.inf, -np.inf, np.nan):
+        vals = kept.copy()
+        vals[rng.integers(N)] = bad
+        with pytest.raises(InvalidConfig):
+            space.field(vals)
+        with pytest.raises(InvalidConfig):
+            space.field(bad)
+    # finite data whose sum overflows is still finite data
+    assert np.all(space.field(np.full(N, 1e308)).values == 1e308)
+
+
+@BOUNDARY_SPACES
+@BOUNDARY_SIZES
+def test_field_of_wrong_shape_is_space_mismatch(kind, d, n, N):
+    space = build_space(kind, d, n, N)
+    for bad in (np.ones(N + 1), [1.0] * (N - 1), np.ones((N, 1)),
+                np.ones((1, N)), np.ones(1), np.ones((2, N)), []):
+        with pytest.raises(SpaceMismatch):
+            space.field(bad)
+
+
+@BOUNDARY_SPACES
+@BOUNDARY_SIZES
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_field_space_identity_and_gamma_of_one_field(kind, d, n, N, seed):
+    space = build_space(kind, d, n, N)
+    f = space.field(np.random.default_rng(seed).standard_normal(N))
+    square = gamma(space, f, f).values
+    copy = space.field(f.values)
+    assert np.array_equal(gamma(space, f, copy).values, square)
+    twin = build_space(kind, d, n, N)             # equal key, other object
+    assert twin is not space and twin.key == space.key
+    on_twin = twin.field(f.values)
+    _check_same_space(space, on_twin)
+    assert np.array_equal(gamma(space, f, on_twin).values, square)
+    for other in (build_space(kind, d, n, 2 * N),
+                  build_space("jacobi" if kind == "sphere_radial"
+                              else "sphere_radial", 3, 3.0, N)):
+        with pytest.raises(SpaceMismatch):
+            _check_same_space(space, other.field(f.values[0]))
 
 
 def test_rho_assignment():
