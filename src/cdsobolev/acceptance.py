@@ -83,9 +83,9 @@ def write_flow_csv(path: str, trace) -> None:
     """The time series of a fast-diffusion FlowTrace."""
     write_csv(path, ["t", "entropy", "grad_norm_sq", "companion_entropy",
                      "dissipation_residual", "sup_dist", "mass"],
-              zip(trace.times, trace.entropy, trace.grad_norm_sq,
-                  trace.companion, trace.dissipation_residual,
-                  trace.sup_distance, trace.mass))
+              np.column_stack([trace.times, trace.entropy, trace.grad_norm_sq,
+                               trace.companion, trace.dissipation_residual,
+                               trace.sup_distance, trace.mass]))
 
 
 def write_manifest(out_dir: str, config: dict, checks, timing: dict) -> dict:
@@ -129,10 +129,20 @@ def trig_poly_field(space: ModelSpace, rng: np.random.Generator,
     derivative at both poles), matching the reflection closure of the
     discrete operators.
     """
-    coeffs = rng.uniform(-1.0, 1.0, degree)
+    return _trig_poly(space, rng, _cosine_modes(space, degree), amplitude)
+
+
+def _cosine_modes(space: ModelSpace, degree: int) -> list:
+    """cos(k theta), k = 1..degree: the modes a corpus's fields share."""
+    return [np.cos(k * space.grid) for k in range(1, degree + 1)]
+
+
+def _trig_poly(space: ModelSpace, rng, modes, amplitude: float):
+    """``trig_poly_field`` of degree len(modes), from precomputed modes."""
+    coeffs = rng.uniform(-1.0, 1.0, len(modes))
     p = np.zeros(space.resolution)
-    for k, c in enumerate(coeffs, start=1):
-        p += c * np.cos(k * space.grid)
+    for c, mode in zip(coeffs, modes):
+        p += c * mode
     sup = float(np.abs(p).max())
     if sup > 0.0:
         p = p / sup
@@ -148,9 +158,10 @@ def _spheres(resolution: int):
 def _corpus(spaces, count, seed):
     """(index, space, field) of a seeded trig-polynomial corpus."""
     rng = np.random.default_rng(seed)
+    modes = [_cosine_modes(space, 4) for space in spaces]
     for i in range(count):
-        space = spaces[i % len(spaces)]
-        yield i, space, trig_poly_field(space, rng)
+        k = i % len(spaces)
+        yield i, spaces[k], _trig_poly(spaces[k], rng, modes[k], 0.9)
 
 
 def _cosine_density(space: ModelSpace):
@@ -360,8 +371,7 @@ def check_finite_dim_decay(out_dir=None, seed=0) -> CheckResult:
             worst_slope = max(worst_slope, err)
             rows.append(("quadratic", rho, m, slope, err,
                          float(np.sqrt(trace.grad_norm_sq[-1]))))
-            series.append((f"rho={rho}, m={m}", list(trace.times),
-                           [float(x) for x in logf]))
+            series.append((f"rho={rho}, m={m}", trace.times, logf))
     # run-to-convergence on the quartic family plus sampled margins
     quartic = FiniteDimProblem(Q=2.0 * np.eye(3), rho=2.0, eps=0.1)
     qtrace = fd_flow(quartic, np.ones(3), T=20.0, dt=0.005)
@@ -410,10 +420,8 @@ def check_fast_diffusion_flow(out_dir=None, resolution=256) -> CheckResult:
                         "max_relative_dissipation_residual": worst_diss})
         write_json(os.path.join(out_dir, "fast_diffusion.json"), summary)
         write_svg(os.path.join(out_dir, "fast_diffusion.svg"),
-                  [("R_alpha + 4.5", list(trace.times),
-                    [float(x) + 4.5 for x in trace.entropy]),
-                   ("sup|mu - 1|", list(trace.times),
-                    [float(x) for x in trace.sup_distance])],
+                  [("R_alpha + 4.5", trace.times, ent + 4.5),
+                   ("sup|mu - 1|", trace.times, trace.sup_distance)],
                   title="fast diffusion on the sphere d=3, alpha=2/3",
                   xlabel="t", ylabel="distance to equilibrium")
     passed = (mass_drift <= 1e-8 and monotone <= 0.0 and worst_diss <= 1e-3
@@ -429,13 +437,14 @@ def check_hessian_formula(out_dir=None, seed=0) -> CheckResult:
     space = build_space("sphere_radial", 3, 3.0, 1024)
     rng = np.random.default_rng(seed + 3)
     alphas = [0.4, 0.5, 2.0 / 3.0, 0.75, 0.9]
+    modes = _cosine_modes(space, 4)  # phi has degree 3: the first three
     rows = []
     worst = 0.0
     for i in range(20):
         alpha = alphas[i % len(alphas)]
-        raw = trig_poly_field(space, rng, amplitude=0.3)
+        raw = _trig_poly(space, rng, modes, 0.3)
         mu = space.field(raw.values / integrate(space, raw))
-        phi = trig_poly_field(space, rng, degree=3, amplitude=1.0)
+        phi = _trig_poly(space, rng, modes[:3], 1.0)
         quad = renyi_hessian_quadform(space, mu, alpha, phi)
         path = hessian_second_derivative(space, mu, alpha, phi)
         rel = abs(quad - path) / max(abs(quad), 1e-12)
@@ -572,12 +581,12 @@ def run_verify_cd(out_dir, space, seed, corpus_size, tolerance):
     """The pointwise CD(rho, n) margin of cos and of a seeded corpus."""
     first = cd_margin(space, space.field_from_function(np.cos))
     rng = np.random.default_rng(seed)
+    modes = _cosine_modes(space, 2)
     # pointwise margins need a gentler corpus than the integrated deficit
     # checks: the discrete Gamma_2 error grows with the fourth derivative of
     # the field
     margins = [first.cd_margin_min] + [
-        cd_margin(space, trig_poly_field(space, rng, degree=2,
-                                         amplitude=0.5)).cd_margin_min
+        cd_margin(space, _trig_poly(space, rng, modes, 0.5)).cd_margin_min
         for _ in range(corpus_size - 1)]
     worst = min(margins)
     write_csv(os.path.join(out_dir, "cd_margins.csv"),

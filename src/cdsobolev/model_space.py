@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, SingularMatrix, SpaceMismatch
+from .errors import (InvalidConfig, InvalidParameter, SingularMatrix,
+                     SpaceMismatch)
 
 KINDS = ("sphere_radial", "jacobi", "circle")
 
@@ -73,7 +74,10 @@ class ModelSpace:
     def field(self, values) -> "ScalarField":
         """One owned, read-only float copy of ``values`` as a field; only a
         scalar (0-d) is broadcast, other shapes raise ``SpaceMismatch``."""
-        vals = np.array(values, dtype=float)
+        try:
+            vals = np.array(values, dtype=float)
+        except ValueError as exc:  # a ragged nesting has no grid shape
+            raise SpaceMismatch(f"field values: {exc}") from None
         if vals.ndim == 0:
             vals = np.full(self.grid.shape, vals)
         return ScalarField(vals, self)
@@ -316,8 +320,10 @@ def tridiagonal_solver(lower, diag, upper, corners=(0.0, 0.0)):
     u = (g, 0.., lo), v = (1, 0.., up/g), and Sherman-Morrison gives
     T^{-1} b = x - (v.x / (1 + v.z)) z, x = B^{-1} b, z = B^{-1} u.
     Raises ``SingularMatrix`` on a zero pivot or on 1 + v.z lost to
-    cancellation.
+    cancellation; ``InvalidParameter`` for N < 3, sizes scipy's gttrf rejects.
     """
+    if len(diag) < 3:
+        raise InvalidParameter(f"tridiagonal system of size {len(diag)} < 3")
     from scipy.linalg import lapack
     up, lo = corners
     diag = np.array(diag, dtype=float)

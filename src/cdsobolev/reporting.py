@@ -1,19 +1,23 @@
 """Deterministic artifact writers: CSV tables, JSON documents, SVG line plots.
 
-Every float is rendered with 17 significant digits, '.' decimal separator and
-'\\n' line endings, so identical inputs produce byte-identical files on every
-platform.  The SVG writer is a self-contained polyline plotter (axes, ticks,
-legend) with no external renderer.
+The byte contract: every float has 17 significant digits (round-trip exact),
+'.' decimal separator and '\\n' line endings, so identical inputs give
+identical files on every platform.  A CSV is formatted column by column, with
+one finiteness test per all-float column; a non-finite value raises
+``InvalidParameter`` naming the first such cell in row order.  The SVG writer
+is a self-contained polyline plotter (axes, ticks, legend), no renderer.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import InvalidParameter
 from .model_space import ModelSpace, ScalarField
 
-FLOAT_FORMAT = ".17g"
+FLOAT_FORMAT = "%.17g"
 
 WIDTH, HEIGHT = 640, 480
 
@@ -24,7 +28,7 @@ def fmt_float(x: float) -> str:
     """17-significant-digit decimal rendering; round-trips any double."""
     if not math.isfinite(x):
         raise InvalidParameter(f"non-finite value in output: {x}")
-    return format(float(x), FLOAT_FORMAT)
+    return FLOAT_FORMAT % float(x)
 
 
 def _fmt_cell(x) -> str:
@@ -36,15 +40,32 @@ def _fmt_cell(x) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:  # the text's own '\n', untranslated
+        fh.write(text.encode("utf-8"))
+
+
+def _column(column) -> tuple:
+    """(cell format, cells) of one column: an all-float column keeps its
+    floats for FLOAT_FORMAT after one finiteness test, others become text."""
+    if all(issubclass(t, float) for t in set(map(type, column))):
+        if not np.isfinite(np.array(column, dtype=float)).all():
+            raise InvalidParameter("non-finite value in output")
+        return FLOAT_FORMAT, column
+    return "%s", list(map(_fmt_cell, column))
 
 
 def csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """CSV of a row iterable, or of a 2-D float array's rows."""
+    columns = rows.T.tolist() if isinstance(rows, np.ndarray) \
+        else list(zip(*rows))
+    try:
+        formats, cells = zip(*map(_column, columns)) if columns else ((), ())
+    except InvalidParameter:  # name the first non-finite cell in row order
+        for row in zip(*columns):
+            list(map(_fmt_cell, row))
+        raise
+    line = ",".join(formats).__mod__  # one format call per row
+    return "\n".join([",".join(header), *map(line, zip(*cells))]) + "\n"
 
 
 def write_csv(path: str, header, rows) -> None:
@@ -89,19 +110,14 @@ def write_field_csv(path: str, space: ModelSpace, columns: dict) -> None:
     """CSV with a theta column followed by one column per named field."""
     arrays = [col.values if isinstance(col, ScalarField) else col
               for col in columns.values()]
-    rows = ((float(space.grid[i]), *(float(a[i]) for a in arrays))
-            for i in range(space.resolution))
-    write_text(path, csv_text(["theta", *columns], rows))
+    write_text(path, csv_text(["theta", *columns],
+                              np.column_stack([space.grid, *arrays])))
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
     if hi <= lo:
         hi = lo + 1.0
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-
-
-def _px(x: float) -> str:
-    return format(x, ".2f")
 
 
 def svg_line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
@@ -115,12 +131,14 @@ def svg_line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
         raise InvalidParameter("svg_line_plot needs at least one series")
     ml, mr, mt, mb = 70, 20, 30, 45
     pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
-    xs_all = [float(x) for _, xs, _ in series for x in xs]
-    ys_all = [float(y) for _, _, ys in series for y in ys]
-    if not xs_all or not all(math.isfinite(v) for v in xs_all + ys_all):
+    xs_all, ys_all = (np.concatenate([np.asarray(s[i], dtype=float)
+                                      for s in series]) for i in (1, 2))
+    if not xs_all.size or not (np.isfinite(xs_all).all()
+                               and np.isfinite(ys_all).all()):
         raise InvalidParameter("svg_line_plot needs finite, nonempty data")
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
+    # min and max select exact values: the sign of a zero bound cancels below
+    x0, x1 = float(xs_all.min()), float(xs_all.max())
+    y0, y1 = float(ys_all.min()), float(ys_all.max())
     if x1 <= x0:
         x0, x1 = x0 - 0.5, x0 + 0.5
     if y1 <= y0:
@@ -139,15 +157,15 @@ def svg_line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
            'stroke="black" stroke-width="1"/>']
     for t in _ticks(x0, x1):
         px = tx(t)
-        out.append(f'<line x1="{_px(px)}" y1="{mt + ph}" x2="{_px(px)}" '
+        out.append(f'<line x1="{px:.2f}" y1="{mt + ph}" x2="{px:.2f}" '
                    f'y2="{mt + ph + 5}" stroke="black"/>')
-        out.append(f'<text x="{_px(px)}" y="{mt + ph + 18}" font-size="11" '
+        out.append(f'<text x="{px:.2f}" y="{mt + ph + 18}" font-size="11" '
                    f'text-anchor="middle">{format(t, ".6g")}</text>')
     for t in _ticks(y0, y1):
         py = ty(t)
-        out.append(f'<line x1="{ml - 5}" y1="{_px(py)}" x2="{ml}" '
-                   f'y2="{_px(py)}" stroke="black"/>')
-        out.append(f'<text x="{ml - 8}" y="{_px(py + 4)}" font-size="11" '
+        out.append(f'<line x1="{ml - 5}" y1="{py:.2f}" x2="{ml}" '
+                   f'y2="{py:.2f}" stroke="black"/>')
+        out.append(f'<text x="{ml - 8}" y="{py + 4:.2f}" font-size="11" '
                    f'text-anchor="end">{format(t, ".6g")}</text>')
     out.append(f'<text x="{WIDTH // 2}" y="20" font-size="14" '
                f'text-anchor="middle">{title}</text>')
@@ -158,8 +176,10 @@ def svg_line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
                f'transform="rotate(-90 14 {mt + ph // 2})">{ylabel}</text>')
     for k, (label, xs, ys) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(f"{_px(tx(float(x)))},{_px(ty(float(y)))}"
-                       for x, y in zip(xs, ys))
+        # tx, ty on arrays: the same IEEE operations, in the same order
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(
+            tx(np.asarray(xs, dtype=float)).tolist(),
+            ty(np.asarray(ys, dtype=float)).tolist())))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.5"/>')
         ly = mt + 14 + 16 * k

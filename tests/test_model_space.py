@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from cdsobolev import apply_L, build_space, gamma, gamma2, ibp_residual, integrate
-from cdsobolev.errors import InvalidConfig, SingularMatrix, SpaceMismatch
+from cdsobolev.errors import (InvalidConfig, InvalidParameter, SingularMatrix,
+                              SpaceMismatch)
 from cdsobolev.model_space import (_check_same_space, _diff1, _diff2,
                                    _fill_ghosts, apply_stiffness, fv_stiffness,
                                    tridiagonal_solver, weighted_laplacian_fv)
@@ -100,7 +101,8 @@ def test_field_boundary_copies_and_validates(kind, d, n, N, seed):
 def test_field_of_wrong_shape_is_space_mismatch(kind, d, n, N):
     space = build_space(kind, d, n, N)
     for bad in (np.ones(N + 1), [1.0] * (N - 1), np.ones((N, 1)),
-                np.ones((1, N)), np.ones(1), np.ones((2, N)), []):
+                np.ones((1, N)), np.ones(1), np.ones((2, N)), [],
+                [[1.0] * N, [1.0] * (N - 1)]):              # ragged
         with pytest.raises(SpaceMismatch):
             space.field(bad)
 
@@ -317,6 +319,19 @@ def test_tridiagonal_solver_singular_raises():
         tridiagonal_solver(off, path, off)                 # zero pivot
     with pytest.raises(SingularMatrix):                    # cyclic Laplacian
         tridiagonal_solver(off, np.full(N, 2.0), off, (-1.0, -1.0))
+
+
+@pytest.mark.parametrize("corners", [(0.0, 0.0), (0.5, -0.25)])
+def test_tridiagonal_solver_rejects_fewer_than_three_unknowns(corners):
+    for N in (0, 1, 2):
+        with pytest.raises(InvalidParameter):
+            tridiagonal_solver(np.ones(max(N - 1, 0)), np.full(N, 4.0),
+                               np.ones(max(N - 1, 0)), corners)
+    # N = 3 is taken: the suite's scipy_linalg_import phase solves one
+    args = ([1.0, -0.5], [4.0, 3.0, 5.0], [0.5, 1.0], corners)
+    b = np.array([1.0, -2.0, 0.5])
+    x = tridiagonal_solver(*args)(b)
+    assert np.abs(dense_tridiagonal(*args) @ x - b).max() <= 1e-14
 
 
 def test_fv_laplacian_matches_centered_operator():

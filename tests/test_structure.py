@@ -150,6 +150,43 @@ def test_cli_names_no_artifact_and_imports_no_writer():
     assert "reporting" not in _relative_imports(tree, modules)
 
 
+ARTIFACT_WRITERS = {"write_csv", "write_json", "write_svg", "write_field_csv"}
+# callables that write files other than through a traced writer
+OTHER_WRITES = {"write", "writelines", "write_text", "write_bytes", "dump",
+                "save", "savez", "savez_compressed", "savetxt", "tofile",
+                "copyfile", "copy2", "copytree"}
+
+
+def _opens_for_writing(call):
+    """Whether an ``open(...)`` call may write: it gives a mode that is not
+    a literal read-only one (no mode means "r")."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_artifacts_are_written_only_by_the_reporting_writers():
+    # benchmarks/tracing.py counts reporting.writes and reporting.bytes on
+    # the four writers: a file written any other way would go uncounted
+    modules = _modules()
+    for name in ("acceptance", "cli"):
+        tree = modules[name]
+        from_reporting = {a.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom)
+                          and node.module == "reporting" for a in node.names}
+        assert from_reporting <= ARTIFACT_WRITERS, name
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            func = call.func
+            callee = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            assert callee not in OTHER_WRITES, (name, ast.unparse(call))
+            if callee == "open":
+                assert not _opens_for_writing(call), (name, ast.unparse(call))
+
+
 def test_hessian_path_stays_independent_of_gamma2():
     # the path second derivative cross-checks the Gamma_2 formula, so it
     # must not be computed from that formula
