@@ -55,9 +55,10 @@ def _column(column) -> tuple:
 
 
 def csv_text(header, rows) -> str:
-    """CSV of a row iterable, or of a 2-D float array's rows."""
+    """CSV of a row iterable, or of a 2-D float array's rows; rows of
+    unequal length raise ``ValueError`` rather than lose cells."""
     columns = rows.T.tolist() if isinstance(rows, np.ndarray) \
-        else list(zip(*rows))
+        else list(zip(*rows, strict=True))
     try:
         formats, cells = zip(*map(_column, columns)) if columns else ((), ())
     except InvalidParameter:  # name the first non-finite cell in row order

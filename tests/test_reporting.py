@@ -202,6 +202,13 @@ def test_mixed_columns_match_the_per_cell_reference(seed):
     assert csv_text(header, rows) == ref_csv_text(header, rows)
 
 
+def test_ragged_rows_are_rejected():
+    # a column-wise table must not drop the cells of its longer rows
+    for rows in ([(1.0, 2.0), (3.0,)], [(1.0,), (2.0, 3.0)], [(1,), ()]):
+        with pytest.raises(ValueError):
+            csv_text(["a", "b"], rows)
+
+
 def test_bool_int_and_string_cells():
     rows = [(True, 3, "jacobi", 1.5), (False, np.int64(-7), "", 2)]
     assert csv_text(["b", "i", "s", "x"], rows) \
