@@ -12,7 +12,9 @@ checks one-to-one.
 
 Each CLI command runs one function here (its suite check where it has one,
 else ``run_<command>``) under ``run_command``, so every artifact has one
-writer.
+writer.  Every check takes the directory it writes into and always writes;
+the library modules only compute, this module decides what each artifact
+contains, and ``reporting`` fixes its bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -36,8 +38,8 @@ from .model_space import (ModelSpace, _quadrature, build_space, integrate,
 from .reporting import write_csv, write_field_csv, write_json, write_svg
 from .sobolev import (a_star, critical_exponent, extremal_field, lq_norm,
                       sharp_constants, sobolev_deficit)
-from .variational import (critical_limit_sweep, minimize_subcritical,
-                          rigidity_scan)
+from .variational import (MinimizeOptions, critical_limit_sweep,
+                          minimize_subcritical, rigidity_scan)
 
 CHECK_NAMES = [
     "sharp_constants",
@@ -174,16 +176,15 @@ def _cosine_density(space: ModelSpace):
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_sharp_constants(out_dir=None) -> CheckResult:
+def check_sharp_constants(out_dir) -> CheckResult:
     """Closed-form constants at (n, rho) = (3, 2) and (4, 3), exactly."""
     got = {"n3_rho2": sharp_constants(3.0, 2.0),
            "n4_rho3": sharp_constants(4.0, 3.0)}
     want = {"n3_rho2": (1.0 / 3.0, 4.0 / 3.0),
             "n4_rho3": (1.0 / 4.0, 1.0 / 2.0)}
     err = max(abs(g - e) for k in got for g, e in zip(got[k], want[k]))
-    if out_dir:
-        write_json(os.path.join(out_dir, "sharp_constants.json"), {
-            k: {"coefficient": got[k][0], "a_star": got[k][1]} for k in got})
+    write_json(os.path.join(out_dir, "sharp_constants.json"), {
+        k: {"coefficient": got[k][0], "a_star": got[k][1]} for k in got})
     return CheckResult("sharp_constants", err == 0.0, err, 0.0,
                        "coefficient (n-1)/(n rho) and threshold "
                        "4(n-1)/(n(n-2) rho) at two parameter points")
@@ -198,10 +199,9 @@ def _deficit_positivity(family, label, spaces, count, seed,
         rep = sobolev_deficit(space, v, critical_exponent(space.n))
         rows.append((i, space.kind, space.d, space.n, rep.deficit, rep.rhs,
                      rep.deficit / (1.0 + rep.rhs)))
-    if out_dir:
-        write_csv(os.path.join(out_dir, f"deficit_{family}.csv"),
-                  ["index", "kind", "d", "n", "deficit", "rhs",
-                   "deficit_over_scale"], rows)
+    write_csv(os.path.join(out_dir, f"deficit_{family}.csv"),
+              ["index", "kind", "d", "n", "deficit", "rhs",
+               "deficit_over_scale"], rows)
     worst = min(r[6] for r in rows)
     return CheckResult(f"deficit_positivity_{family}", worst >= -1e-6,
                        worst, -1e-6,
@@ -209,19 +209,19 @@ def _deficit_positivity(family, label, spaces, count, seed,
                        f"trig-polynomial fields, {label}, critical exponent")
 
 
-def check_deficit_positivity_sphere(out_dir=None, seed=0) -> CheckResult:
+def check_deficit_positivity_sphere(out_dir, seed=0) -> CheckResult:
     return _deficit_positivity("sphere", "sphere d in {3,4,5}",
                                _spheres(1024), 100, seed, out_dir)
 
 
-def check_deficit_positivity_jacobi(out_dir=None, seed=0) -> CheckResult:
+def check_deficit_positivity_jacobi(out_dir, seed=0) -> CheckResult:
     return _deficit_positivity(
         "jacobi", "jacobi n in {3.5,4.5,6}",
         [build_space("jacobi", 2, n, 1024) for n in (3.5, 4.5, 6.0)], 100,
         seed + 1, out_dir)
 
 
-def check_extremal_saturation(out_dir=None) -> CheckResult:
+def check_extremal_saturation(out_dir) -> CheckResult:
     rows = []
     worst_rel, worst_ratio = 0.0, np.inf
     series = []
@@ -240,13 +240,12 @@ def check_extremal_saturation(out_dir=None) -> CheckResult:
             worst_ratio = min(worst_ratio, ratio)
             rels.append(rel[1024])
         series.append((f"d={d}", [1.5, 2.0, 4.0], rels))
-    if out_dir:
-        write_csv(os.path.join(out_dir, "extremal_saturation.csv"),
-                  ["d", "beta", "abs_deficit_rel_N512", "abs_deficit_rel_N1024",
-                   "refinement_ratio"], rows)
-        write_svg(os.path.join(out_dir, "extremal_saturation.svg"), series,
-                  title="relative deficit of the extremal family (N=1024)",
-                  xlabel="beta", ylabel="|deficit_rel|")
+    write_csv(os.path.join(out_dir, "extremal_saturation.csv"),
+              ["d", "beta", "abs_deficit_rel_N512", "abs_deficit_rel_N1024",
+               "refinement_ratio"], rows)
+    write_svg(os.path.join(out_dir, "extremal_saturation.svg"), series,
+              title="relative deficit of the extremal family (N=1024)",
+              xlabel="beta", ylabel="|deficit_rel|")
     passed = worst_rel <= 1e-3 and worst_ratio >= 3.0
     return CheckResult("extremal_saturation", passed, worst_rel, 1e-3,
                        f"max |deficit_rel| at N=1024 over beta in "
@@ -254,28 +253,25 @@ def check_extremal_saturation(out_dir=None) -> CheckResult:
                        f"{worst_ratio:.3f} (need >= 3)")
 
 
-def check_cd_equality_witness(out_dir=None) -> CheckResult:
+def check_cd_equality_witness(out_dir) -> CheckResult:
     cases = [("sphere_radial", 3, 3.0), ("jacobi", 2, 4.5)]
     worst, worst_ratio = 0.0, np.inf
-    summary = {}
+    doc = {}
     for kind, d, n in cases:
         margins = {}
         for N in (256, 512):
             space = build_space(kind, d, n, N)
             rep = cd_margin(space, space.field_from_function(np.cos))
             margins[N] = rep.cd_margin_min
-            if out_dir and N == 512:
-                _write_gamma_fields(
-                    os.path.join(out_dir, f"cd_witness_{kind}.csv"), space,
-                    rep)
+        _write_gamma_fields(os.path.join(out_dir, f"cd_witness_{kind}.csv"),
+                            space, rep)  # the N=512 fields
         ratio = abs(margins[256]) / max(abs(margins[512]), 1e-300)
         worst = max(worst, abs(margins[512]))
         worst_ratio = min(worst_ratio, ratio)
-        summary[f"{kind}_n{n}"] = {"cd_margin_min_N256": margins[256],
-                                   "cd_margin_min_N512": margins[512],
-                                   "refinement_ratio": ratio}
-    if out_dir:
-        write_json(os.path.join(out_dir, "cd_witness.json"), summary)
+        doc[f"{kind}_n{n}"] = {"cd_margin_min_N256": margins[256],
+                               "cd_margin_min_N512": margins[512],
+                               "refinement_ratio": ratio}
+    write_json(os.path.join(out_dir, "cd_witness.json"), doc)
     passed = worst <= 5e-3 and worst_ratio >= 3.0
     return CheckResult("cd_equality_witness", passed, worst, 5e-3,
                        f"|cd_margin_min| for phi = cos at N=512 on the sphere "
@@ -283,42 +279,41 @@ def check_cd_equality_witness(out_dir=None) -> CheckResult:
                        f"ratio {worst_ratio:.3f} (need >= 3)")
 
 
-def _scan(space: ModelSpace, q: float, a_values, *scan_args):
+def _scan(space: ModelSpace, q: float, a_values, **scan_kwargs):
     """(space, q, A*, entries) of a rigidity scan, as the rigidity and
-    identity checks take it; ``scan_args`` go on to ``rigidity_scan``."""
-    entries = rigidity_scan(space, q, a_values, *scan_args)  # checks q
+    identity checks take it; ``scan_kwargs`` go on to ``rigidity_scan``."""
+    entries = rigidity_scan(space, q, a_values, **scan_kwargs)  # checks q
     return space, q, a_star(critical_exponent(q), space.rho), entries
 
 
-def _rigidity_scan_shared(resolution=2048):
-    """The 11-point scan shared by the rigidity and identity checks."""
-    space = build_space("sphere_radial", 3, 3.0, resolution)
+def _rigidity_scan_shared():
+    """The 11-point scan shared by the rigidity and identity checks; an
+    unconverged minimizer fails the rigidity check rather than raising."""
+    space = build_space("sphere_radial", 3, 3.0, 2048)
     astar = a_star(critical_exponent(5.0), space.rho)
-    return _scan(space, 5.0,
-                 [0.05] + list(np.linspace(astar, 2.0 * astar, 10)))
+    return _scan(space, 5.0, [0.05] + list(np.linspace(astar, 2.0 * astar, 10)),
+                 opts=MinimizeOptions(raise_on_failure=False))
 
 
-def check_rigidity_threshold(scan=None, out_dir=None) -> CheckResult:
+def check_rigidity_threshold(scan, out_dir) -> CheckResult:
     """Constant minimizers with I = 1 at every A >= A*, nonconstant ones at
     every A <= A*/2: they stay constant down to A_bif < A* (1 at q = 5)."""
-    space, q, astar, entries = scan or _rigidity_scan_shared()
+    space, q, astar, entries = scan
     above = [e for e in entries if e.report.A >= astar - 1e-12]
     below = [e.report for e in entries if e.report.A <= astar / 2.0]
     const_above = max((e.report.constancy for e in above), default=0.0)
     ival_above = max((abs(e.report.i_value - 1.0) for e in above),
                      default=0.0)
     const_below = min((r.constancy for r in below), default=np.inf)
-    if out_dir:
-        write_csv(os.path.join(out_dir, "rigidity_scan.csv"),
-                  ["A", "A_over_Astar", "q", "d_prime", "i_value",
-                   "constancy", "el_residual", "identity_residual", "term1",
-                   "term2", "term3", "converged"],
-                  [(e.report.A, e.A_over_a_star, e.report.q, e.report.d_prime,
-                    e.report.i_value, e.report.constancy,
-                    e.report.el_residual_norm, e.identity_residual,
-                    e.term_cd, e.term_gap, e.term_f, e.report.converged)
-                   for e in entries])
-    if out_dir and above:
+    write_csv(os.path.join(out_dir, "rigidity_scan.csv"),
+              ["A", "A_over_Astar", "q", "d_prime", "i_value", "constancy",
+               "el_residual", "identity_residual", "term1", "term2", "term3",
+               "converged"],
+              [(e.report.A, e.A_over_a_star, e.report.q, e.report.d_prime,
+                e.report.i_value, e.report.constancy,
+                e.report.el_residual_norm, e.identity_residual, e.term_cd,
+                e.term_gap, e.term_f, e.report.converged) for e in entries])
+    if above:
         xs = [e.A_over_a_star for e in above]
         write_svg(os.path.join(out_dir, "rigidity_scan.svg"),
                   [("term_cd", xs, [e.term_cd for e in above]),
@@ -339,15 +334,14 @@ def check_rigidity_threshold(scan=None, out_dir=None) -> CheckResult:
                        f"{const_below:.3f} (need > 0.1)")
 
 
-def check_integral_identity(scan=None, out_dir=None) -> CheckResult:
-    space, _, _, entries = scan or _rigidity_scan_shared()
+def check_integral_identity(scan, out_dir) -> CheckResult:
+    space, _, _, entries = scan
     worst = max(e.identity_rel for e in entries)
-    if out_dir:
-        write_csv(os.path.join(out_dir, "integral_identity.csv"),
-                  ["A", "term_gamma2", "term_laplacian", "term_gamma",
-                   "scale", "relative_residual"],
-                  [(e.report.A, *e.identity_terms, e.identity_scale,
-                    e.identity_rel) for e in entries])
+    write_csv(os.path.join(out_dir, "integral_identity.csv"),
+              ["A", "term_gamma2", "term_laplacian", "term_gamma", "scale",
+               "relative_residual"],
+              [(e.report.A, *e.identity_terms, e.identity_scale,
+                e.identity_rel) for e in entries])
     return CheckResult("integral_identity", worst <= 1e-3, worst, 1e-3,
                        "max scale-relative residual of the weighted "
                        "Gamma_2 integral identity over all converged scan "
@@ -355,7 +349,7 @@ def check_integral_identity(scan=None, out_dir=None) -> CheckResult:
                        f"N={space.resolution}")
 
 
-def check_finite_dim_decay(out_dir=None, seed=0) -> CheckResult:
+def check_finite_dim_decay(out_dir, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed + 2)
     rows = []
     worst_slope = 0.0
@@ -379,13 +373,12 @@ def check_finite_dim_decay(out_dir=None, seed=0) -> CheckResult:
     min_margin = min(float(convexity_inequality_margin(
         FiniteDimProblem(Q=2.0 * np.eye(3), rho=2.0, eps=eps),
         rng.uniform(-2.0, 2.0, (10000, 3))).min()) for eps in (0.0, 0.05))
-    if out_dir:
-        write_csv(os.path.join(out_dir, "finite_dim.csv"),
-                  ["family", "rho", "m", "slope", "slope_error", "final_grad"],
-                  rows)
-        write_svg(os.path.join(out_dir, "finite_dim.svg"), series,
-                  title="entropy decay along the finite-dimensional flow",
-                  xlabel="t", ylabel="log F(S_t)")
+    write_csv(os.path.join(out_dir, "finite_dim.csv"),
+              ["family", "rho", "m", "slope", "slope_error", "final_grad"],
+              rows)
+    write_svg(os.path.join(out_dir, "finite_dim.svg"), series,
+              title="entropy decay along the finite-dimensional flow",
+              xlabel="t", ylabel="log F(S_t)")
     passed = (worst_slope <= 1e-6 and min_margin >= 0.0
               and final_grad <= 1e-8)
     return CheckResult("finite_dim_decay", passed, worst_slope, 1e-6,
@@ -395,35 +388,36 @@ def check_finite_dim_decay(out_dir=None, seed=0) -> CheckResult:
                        f"terminal gradient {final_grad:.2e}")
 
 
-def check_fast_diffusion_flow(out_dir=None, resolution=256) -> CheckResult:
+def check_fast_diffusion_flow(out_dir, resolution=256) -> CheckResult:
     space = build_space("sphere_radial", 3, 3.0, resolution)
     alpha = 2.0 / 3.0
     trace = fast_diffusion_flow(space, _cosine_density(space), alpha, T=5.0)
 
-    mass_drift = float(np.abs(np.asarray(trace.mass) - trace.mass[0]).max()) \
+    ent, gn = trace.entropy, trace.grad_norm_sq
+    mass_drift = float(np.abs(trace.mass - trace.mass[0]).max()) \
         / trace.times[-1]
-    ent = np.asarray(trace.entropy)
     monotone = float((np.diff(ent) - 1e-12 * (1.0 + np.abs(ent[:-1]))).max())
-    gn = np.asarray(trace.grad_norm_sq)
     scale = np.maximum(gn, 1e-6 * gn.max())
-    rel_diss = np.asarray(trace.dissipation_residual)[1:-1] / scale[1:-1]
+    rel_diss = trace.dissipation_residual[1:-1] / scale[1:-1]
     worst_diss = float(rel_diss.max())
     final_dist = float(trace.sup_distance[-1])
     final_ent_err = abs(float(ent[-1]) + 4.5)
 
-    if out_dir:
-        write_flow_csv(os.path.join(out_dir, "fast_diffusion.csv"), trace)
-        summary = trace.summary()
-        summary.update({"alpha": alpha, "beta": 2.0 * alpha - 1.0,
-                        "n": space.n, "rho": space.rho, "converged": True,
-                        "mass_drift_per_unit_time": mass_drift,
-                        "max_relative_dissipation_residual": worst_diss})
-        write_json(os.path.join(out_dir, "fast_diffusion.json"), summary)
-        write_svg(os.path.join(out_dir, "fast_diffusion.svg"),
-                  [("R_alpha + 4.5", trace.times, ent + 4.5),
-                   ("sup|mu - 1|", trace.times, trace.sup_distance)],
-                  title="fast diffusion on the sphere d=3, alpha=2/3",
-                  xlabel="t", ylabel="distance to equilibrium")
+    write_flow_csv(os.path.join(out_dir, "fast_diffusion.csv"), trace)
+    write_json(os.path.join(out_dir, "fast_diffusion.json"), {
+        "T": trace.times[-1], "steps_recorded": len(trace.times),
+        "final_entropy": ent[-1], "final_grad_norm_sq": gn[-1],
+        "final_sup_dist": final_dist, "steps": trace.steps,
+        "newton_iterations": trace.newton_iterations,
+        "stop_reason": trace.stop_reason, "alpha": alpha,
+        "beta": 2.0 * alpha - 1.0, "n": space.n, "rho": space.rho,
+        "converged": True, "mass_drift_per_unit_time": mass_drift,
+        "max_relative_dissipation_residual": worst_diss})
+    write_svg(os.path.join(out_dir, "fast_diffusion.svg"),
+              [("R_alpha + 4.5", trace.times, ent + 4.5),
+               ("sup|mu - 1|", trace.times, trace.sup_distance)],
+              title="fast diffusion on the sphere d=3, alpha=2/3",
+              xlabel="t", ylabel="distance to equilibrium")
     passed = (mass_drift <= 1e-8 and monotone <= 0.0 and worst_diss <= 1e-3
               and final_dist <= 1e-4 and final_ent_err <= 1e-6)
     return CheckResult("fast_diffusion_flow", passed, worst_diss, 1e-3,
@@ -433,7 +427,7 @@ def check_fast_diffusion_flow(out_dir=None, resolution=256) -> CheckResult:
                        f"{final_ent_err:.2e} of -4.5")
 
 
-def check_hessian_formula(out_dir=None, seed=0) -> CheckResult:
+def check_hessian_formula(out_dir, seed=0) -> CheckResult:
     space = build_space("sphere_radial", 3, 3.0, 1024)
     rng = np.random.default_rng(seed + 3)
     alphas = [0.4, 0.5, 2.0 / 3.0, 0.75, 0.9]
@@ -456,10 +450,9 @@ def check_hessian_formula(out_dir=None, seed=0) -> CheckResult:
     # reference 9/4 = 3 (1 - int cos^2 dnu) with int cos^2 dnu = 1/4 on the
     # sphere d=3 radial measure (independent quadrature oracle)
     analytic_err = abs(analytic - 2.25)
-    if out_dir:
-        write_csv(os.path.join(out_dir, "hessian_checks.csv"),
-                  ["case", "alpha", "quadform", "path_second_derivative",
-                   "relative_error"], rows)
+    write_csv(os.path.join(out_dir, "hessian_checks.csv"),
+              ["case", "alpha", "quadform", "path_second_derivative",
+               "relative_error"], rows)
     passed = worst <= 1e-3 and analytic_err <= 1e-3
     return CheckResult("hessian_formula", passed, worst, 1e-3,
                        f"max relative gap between the Hessian quadratic form "
@@ -468,7 +461,7 @@ def check_hessian_formula(out_dir=None, seed=0) -> CheckResult:
                        f"{analytic_err:.2e} from 9/4")
 
 
-def check_entropy_sobolev_equivalence(out_dir=None, seed=0,
+def check_entropy_sobolev_equivalence(out_dir, seed=0,
                                       resolution=1024) -> CheckResult:
     rows = []
     worst_margin, worst_bridge = 0.0, 0.0
@@ -487,10 +480,9 @@ def check_entropy_sobolev_equivalence(out_dir=None, seed=0,
         worst_margin = min(worst_margin, neg)
         worst_bridge = max(worst_bridge, rel)
         rows.append((i, space.d, margin, bridge, rel))
-    if out_dir:
-        write_csv(os.path.join(out_dir, "entropy_sobolev.csv"),
-                  ["index", "d", "entropy_margin", "deficit_reexpression",
-                   "relative_gap"], rows)
+    write_csv(os.path.join(out_dir, "entropy_sobolev.csv"),
+              ["index", "d", "entropy_margin", "deficit_reexpression",
+               "relative_gap"], rows)
     passed = worst_margin >= -1e-6 and worst_bridge <= 1e-8
     return CheckResult("entropy_sobolev_equivalence", passed, worst_bridge,
                        1e-8,
@@ -500,29 +492,30 @@ def check_entropy_sobolev_equivalence(out_dir=None, seed=0,
                        f"{worst_margin:.2e} (tol -1e-6)")
 
 
-def check_critical_limit(out_dir=None, space=None,
+def check_critical_limit(out_dir, space=None,
                          q_list=CRITICAL_Q) -> CheckResult:
     """A*(d'(q)) increases along ``q_list`` and, given two q or more,
-    extrapolates to A*(n): 4/3 on the default space, the sphere d=3."""
+    extrapolates to A*(n): 4/3 on the default space, the sphere d=3.  An
+    unconverged minimization fails the check rather than raising."""
     if space is None:
         space = build_space("sphere_radial", 3, 3.0, 1024)
-    table, extrapolated, warnings = critical_limit_sweep(space, q_list)
+    table, extrapolated, warnings = critical_limit_sweep(
+        space, q_list, MinimizeOptions(raise_on_failure=False))
     for msg in warnings:
         print(f"warning: {msg}", file=sys.stderr)
     astars = [row["a_star"] for row in table]
     monotone = all(b > a for a, b in zip(astars, astars[1:]))
     limit = a_star(space.n, space.rho)
     err = None if extrapolated is None else abs(extrapolated - limit)
-    if out_dir:
-        write_csv(os.path.join(out_dir, "critical_limit.csv"),
-                  ["q", "d_prime", "a_star", "i_value_at_a_star", "constancy",
-                   "converged"],
-                  [(r["q"], r["d_prime"], r["a_star"], r["i_value"],
-                    r["constancy"], r["converged"]) for r in table])
-        doc = {"extrapolated_a_star": extrapolated, "limit_value": limit,
-               "error": err, "monotone_increasing": monotone}
-        write_json(os.path.join(out_dir, "critical_limit.json"),
-                   {k: v for k, v in doc.items() if v is not None})
+    write_csv(os.path.join(out_dir, "critical_limit.csv"),
+              ["q", "d_prime", "a_star", "i_value_at_a_star", "constancy",
+               "converged"],
+              [(r["q"], r["d_prime"], r["a_star"], r["i_value"],
+                r["constancy"], r["converged"]) for r in table])
+    doc = {"extrapolated_a_star": extrapolated, "limit_value": limit,
+           "error": err, "monotone_increasing": monotone}
+    write_json(os.path.join(out_dir, "critical_limit.json"),
+               {k: v for k, v in doc.items() if v is not None})
     passed = monotone and (err is None or err <= 1e-3) \
         and all(r["converged"] for r in table)
     return CheckResult("critical_limit", passed, 0.0 if err is None else err,
@@ -544,7 +537,7 @@ def _hash_tree(root: str) -> dict:
     return out
 
 
-def check_determinism(out_dir=None, seed=0) -> CheckResult:
+def check_determinism(out_dir, seed=0) -> CheckResult:
     """Re-run a reduced artifact bundle twice and byte-compare everything."""
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -554,9 +547,8 @@ def check_determinism(out_dir=None, seed=0) -> CheckResult:
             _mini_bundle(dd, seed)
         h1, h2 = _hash_tree(dirs[0]), _hash_tree(dirs[1])
     same = h1 == h2
-    if out_dir:
-        write_json(os.path.join(out_dir, "determinism.json"),
-                   {"files": sorted(h1), "match": same})
+    write_json(os.path.join(out_dir, "determinism.json"),
+               {"files": sorted(h1), "match": same})
     return CheckResult("determinism", same, 0.0 if same else 1.0, 0.0,
                        f"{len(h1)} artifact files regenerated with the same "
                        "seed and compared byte-for-byte by sha256")
@@ -594,7 +586,8 @@ def run_verify_cd(out_dir, space, seed, corpus_size, tolerance):
     _write_gamma_fields(os.path.join(out_dir, "cd_pointwise.csv"), space,
                         first)
     write_json(os.path.join(out_dir, "cd_summary.json"),
-               {**first.to_json_dict(), "corpus_size": corpus_size,
+               {"cd_margin_min": first.cd_margin_min, "rho": first.rho,
+                "n": first.n, "corpus_size": corpus_size,
                 "min_margin_over_corpus": worst})
     return [CheckResult(
         "cd_margin_nonnegative", worst >= -tolerance, worst, -tolerance,
@@ -621,8 +614,7 @@ def run_bochner(out_dir, space, tolerance):
 def run_sobolev_deficit(out_dir, space, v, q, extremal):
     """The Sobolev deficit of one field; an extremal one must saturate."""
     rep = sobolev_deficit(space, v, q)
-    write_json(os.path.join(out_dir, "sobolev_deficit.json"),
-               rep.to_json_dict())
+    write_json(os.path.join(out_dir, "sobolev_deficit.json"), asdict(rep))
     write_field_csv(os.path.join(out_dir, "field.csv"), space, {"v": v})
     checks = [CheckResult(
         "deficit_nonnegative", rep.deficit >= -1e-6 * (1.0 + rep.rhs),
@@ -639,7 +631,9 @@ def run_sobolev_deficit(out_dir, space, v, q, extremal):
 def run_minimize(out_dir, space, A, q, init, opts):
     """One subcritical minimization at (A, q)."""
     rep = minimize_subcritical(space, A, q, init, opts)
-    write_json(os.path.join(out_dir, "minimizer.json"), rep.to_json_dict())
+    write_json(os.path.join(out_dir, "minimizer.json"), {
+        "lambda" if f.name == "lam" else f.name: getattr(rep, f.name)
+        for f in fields(rep) if f.name not in ("minimizer", "energy_trace")})
     write_field_csv(os.path.join(out_dir, "minimizer.csv"), space,
                     {"v": rep.minimizer})
     norm_err = abs(lq_norm(space, rep.minimizer, q) - 1.0)
@@ -657,7 +651,7 @@ def run_minimize(out_dir, space, A, q, init, opts):
 
 def run_rigidity_scan(out_dir, space, q, a_values, f_spec, init, opts):
     """The rigidity and identity checks on a configured scan."""
-    scan = _scan(space, q, a_values, f_spec, init, opts)
+    scan = _scan(space, q, a_values, f_spec=f_spec, init=init, opts=opts)
     return [check_rigidity_threshold(scan, out_dir),
             check_integral_identity(scan, out_dir)]
 

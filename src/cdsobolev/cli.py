@@ -40,6 +40,10 @@ SPACE_KEYS = {"kind", "d", "n", "resolution"}
 # suite's values, 0.05 to 2A* = 2.1, lie well inside.
 A_MIN, A_MAX = 1e-3, 1e6
 
+# Largest ``rigidity-scan`` A_range count and ``verify-cd`` corpus size: a
+# mistyped count ends in exit 2, not in a failed allocation or an endless run.
+MAX_COUNT = 10_000
+
 
 def _check_keys(block: dict, allowed: set, context: str) -> None:
     if not isinstance(block, dict):
@@ -65,12 +69,14 @@ def _number(block: dict, key: str, default, context: str) -> float:
 
 
 def _integer(block: dict, key: str, default, context: str,
-             minimum: int | None = None) -> int:
+             minimum: int | None = None, maximum: int | None = None) -> int:
     """The integral JSON number ``block[key]`` (or ``default``), at least
-    ``minimum`` when one is given."""
+    ``minimum`` and at most ``maximum`` when they are given."""
     value = _number(block, key, default, context)
-    if not value.is_integer() or (minimum is not None and value < minimum):
+    if not value.is_integer() or (minimum is not None and value < minimum) \
+            or (maximum is not None and value > maximum):
         bound = "" if minimum is None else f" >= {minimum}"
+        bound += "" if maximum is None else f" and <= {maximum}"
         raise InvalidConfig(f"{context} key {key!r} must be an integer"
                             f"{bound}, got {block.get(key, default)!r}")
     return int(value)
@@ -128,8 +134,8 @@ def _minimizer(cfg: dict, resolution, default_resolution=512) -> dict:
 
 def _verify_cd(cfg, seed, resolution):
     return {"space": _space(cfg, resolution), "seed": seed,
-            "corpus_size": _integer(cfg, "corpus_size", 50, "config",
-                                    minimum=1),
+            "corpus_size": _integer(cfg, "corpus_size", 50, "config", 1,
+                                    MAX_COUNT),
             "tolerance": _number(cfg, "tolerance", 5e-3, "config")}
 
 
@@ -170,7 +176,7 @@ def _rigidity_scan(cfg, seed, resolution):
         a_values = list(np.linspace(
             _number(rng_spec, "lo", 0.05, "A_range"),
             _number(rng_spec, "hi", 2.1, "A_range"),
-            _integer(rng_spec, "count", 11, "A_range", minimum=1)))
+            _integer(rng_spec, "count", 11, "A_range", 1, MAX_COUNT)))
     _check_weights(a_values, "config")
     f_block = cfg.get("f", {})
     _check_keys(f_block, {"kind", "s"}, "f")

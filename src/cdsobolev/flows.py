@@ -149,18 +149,6 @@ class FlowTrace:
                     self.sup_distance):
             np.asarray(arr).setflags(write=False)
 
-    def summary(self) -> dict:
-        return {
-            "T": float(self.times[-1]),
-            "steps_recorded": int(len(self.times)),
-            "final_entropy": float(self.entropy[-1]),
-            "final_grad_norm_sq": float(self.grad_norm_sq[-1]),
-            "final_sup_dist": float(self.sup_distance[-1]),
-            "steps": self.steps,
-            "newton_iterations": self.newton_iterations,
-            "stop_reason": self.stop_reason,
-        }
-
 
 def _make_trace(times, ent, gn, comp, dist, **counters) -> FlowTrace:
     """FlowTrace of the recorded lists.  The dissipation residual is

@@ -37,10 +37,6 @@ class GammaReport:
     rho: float
     n: float
 
-    def to_json_dict(self) -> dict:
-        return {"cd_margin_min": self.cd_margin_min, "rho": self.rho,
-                "n": self.n}
-
 
 def cd_margin(space: ModelSpace, f: ScalarField,
               rho: float | None = None, n: float | None = None) -> GammaReport:

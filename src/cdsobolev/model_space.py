@@ -86,16 +86,6 @@ class ModelSpace:
         """Sample a callable of theta on the grid."""
         return self.field(fn(self.grid))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "n": self.n,
-            "rho": self.rho,
-            "resolution": self.resolution,
-            "Z": self.Z,
-        }
-
 
 @dataclass(frozen=True)
 class ScalarField:

@@ -125,11 +125,13 @@ def svg_line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
     """Render (label, xs, ys) series as an SVG polyline chart.
 
     Purely textual output: fixed canvas, linear axes with five ticks, legend
-    in the top-right corner.  Points with non-finite coordinates are
-    rejected rather than dropped.
+    in the top-right corner.  Points with non-finite coordinates, and series
+    whose xs and ys differ in length, are rejected rather than dropped.
     """
     if not series:
         raise InvalidParameter("svg_line_plot needs at least one series")
+    if any(len(xs) != len(ys) for _, xs, ys in series):
+        raise InvalidParameter("svg_line_plot needs as many xs as ys")
     ml, mr, mt, mb = 70, 20, 30, 45
     pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
     xs_all, ys_all = (np.concatenate([np.asarray(s[i], dtype=float)

@@ -33,15 +33,6 @@ class SobolevReport:
     deficit: float
     deficit_rel: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "q": self.q, "n": self.n, "rho": self.rho,
-            "lq_norm_sq": self.lq_norm_sq, "l2_norm_sq": self.l2_norm_sq,
-            "grad_norm_sq": self.grad_norm_sq, "lhs": self.lhs,
-            "rhs": self.rhs, "deficit": self.deficit,
-            "deficit_rel": self.deficit_rel,
-        }
-
 
 def critical_exponent(n: float) -> float:
     """2* = 2n/(n-2), and d'(q) = 2q/(q-2): x -> 2x/(x-2) is an involution."""

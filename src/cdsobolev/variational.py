@@ -64,17 +64,6 @@ class MinimizerReport:
     newton_steps: int
     energy_trace: tuple = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "A": self.A, "q": self.q, "d_prime": self.d_prime,
-            "lambda": self.lam, "c": self.c, "i_value": self.i_value,
-            "el_residual_norm": self.el_residual_norm,
-            "constancy": self.constancy, "iterations": self.iterations,
-            "converged": self.converged,
-            "backward_error": self.backward_error,
-            "newton_steps": self.newton_steps,
-        }
-
 
 @dataclass(frozen=True)
 class RigidityEntry:

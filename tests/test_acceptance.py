@@ -17,55 +17,62 @@ def expect(result):
 
 @pytest.fixture(scope="module")
 def rigidity_shared():
-    return acceptance._rigidity_scan_shared(resolution=2048)
+    return acceptance._rigidity_scan_shared()
 
 
-def test_sharp_constants():
-    expect(acceptance.check_sharp_constants())
+def test_sharp_constants(tmp_path):
+    expect(acceptance.check_sharp_constants(tmp_path))
 
 
-def test_deficit_positivity_sphere():
-    expect(acceptance.check_deficit_positivity_sphere(seed=0))
+def test_deficit_positivity_sphere(tmp_path):
+    expect(acceptance.check_deficit_positivity_sphere(tmp_path, seed=0))
 
 
-def test_extremal_saturation():
-    expect(acceptance.check_extremal_saturation())
+def test_extremal_saturation(tmp_path):
+    expect(acceptance.check_extremal_saturation(tmp_path))
 
 
-def test_cd_equality_witness():
-    expect(acceptance.check_cd_equality_witness())
+def test_cd_equality_witness(tmp_path):
+    expect(acceptance.check_cd_equality_witness(tmp_path))
 
 
-def test_deficit_positivity_jacobi():
-    expect(acceptance.check_deficit_positivity_jacobi(seed=0))
+def test_deficit_positivity_jacobi(tmp_path):
+    expect(acceptance.check_deficit_positivity_jacobi(tmp_path, seed=0))
 
 
-def test_rigidity_threshold(rigidity_shared):
-    expect(acceptance.check_rigidity_threshold(rigidity_shared))
+def test_rigidity_threshold(rigidity_shared, tmp_path):
+    expect(acceptance.check_rigidity_threshold(rigidity_shared, tmp_path))
 
 
-def test_integral_identity(rigidity_shared):
-    expect(acceptance.check_integral_identity(rigidity_shared))
+def test_integral_identity(rigidity_shared, tmp_path):
+    expect(acceptance.check_integral_identity(rigidity_shared, tmp_path))
 
 
-def test_finite_dim_decay():
-    expect(acceptance.check_finite_dim_decay(seed=0))
+def test_finite_dim_decay(tmp_path):
+    expect(acceptance.check_finite_dim_decay(tmp_path, seed=0))
 
 
-def test_fast_diffusion_flow():
-    expect(acceptance.check_fast_diffusion_flow())
+def test_fast_diffusion_flow(tmp_path):
+    expect(acceptance.check_fast_diffusion_flow(tmp_path))
+    with open(tmp_path / "fast_diffusion.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert list(doc) == [
+        "T", "steps_recorded", "final_entropy", "final_grad_norm_sq",
+        "final_sup_dist", "steps", "newton_iterations", "stop_reason",
+        "alpha", "beta", "n", "rho", "converged", "mass_drift_per_unit_time",
+        "max_relative_dissipation_residual"]
 
 
-def test_hessian_formula():
-    expect(acceptance.check_hessian_formula(seed=0))
+def test_hessian_formula(tmp_path):
+    expect(acceptance.check_hessian_formula(tmp_path, seed=0))
 
 
-def test_entropy_sobolev_equivalence():
-    expect(acceptance.check_entropy_sobolev_equivalence(seed=0))
+def test_entropy_sobolev_equivalence(tmp_path):
+    expect(acceptance.check_entropy_sobolev_equivalence(tmp_path, seed=0))
 
 
-def test_critical_limit():
-    expect(acceptance.check_critical_limit())
+def test_critical_limit(tmp_path):
+    expect(acceptance.check_critical_limit(tmp_path))
 
 
 def test_determinism(tmp_path, monkeypatch):
@@ -87,7 +94,7 @@ def test_determinism(tmp_path, monkeypatch):
     assert set(trees["a"]) == set(trees["b"])
     for name in trees["a"]:
         assert trees["a"][name] == trees["b"][name], name
-    expect(acceptance.check_determinism())
+    expect(acceptance.check_determinism(tmp_path))
 
 
 def test_full_suite_manifest(tmp_path):

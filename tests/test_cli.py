@@ -6,7 +6,7 @@ import os
 import pytest
 
 from cdsobolev import acceptance, build_space
-from cdsobolev.cli import critical_limit_sweep, main
+from cdsobolev.cli import MAX_COUNT, critical_limit_sweep, main
 from cdsobolev.errors import InvalidConfig, InvalidExponent
 
 
@@ -76,6 +76,12 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
                        "space": {"resolution": 64}}),  # A* needs q > 2
     ("critical-limit", {"q_list": [5.0, 5.0],
                         "space": {"resolution": 64}}),  # repeated q
+    # counts above MAX_COUNT, rejected before numpy allocates them
+    ("rigidity-scan", {"A_range": {"count": 10000000000000}}),
+    ("rigidity-scan", {"space": {"resolution": 64},
+                       "A_range": {"count": MAX_COUNT + 1}}),
+    ("verify-cd", {"corpus_size": 10000000000000}),
+    ("verify-cd", {"corpus_size": MAX_COUNT + 1}),
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -85,6 +91,28 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert os.listdir(out) == []               # rejected before any artifact
+
+
+@pytest.mark.parametrize("command, doc, table", [
+    # the minimization at A*(d'(q)) for q next to 2* = 6 does not converge
+    ("critical-limit", {"q_list": [5.999999], "space": {"resolution": 2048}},
+     "critical_limit.csv"),
+    ("rigidity-scan", {"space": {"resolution": 64}, "A_list": [1.05],
+                       "max_iter": 1}, "rigidity_scan.csv"),
+])
+def test_unconverged_minimizer_exits_1_with_manifest(tmp_path, capsys,
+                                                     command, doc, table):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "manifest.json").write_text('{"status": "pass"}',
+                                       encoding="utf-8")  # a stale one
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert read_manifest(str(out))["status"] == "fail"
+    lines = (out / table).read_text(encoding="utf-8").strip().split("\n")
+    assert lines[0].split(",")[-1] == "converged"
+    assert [line.split(",")[-1] for line in lines[1:]] == ["false"]
 
 
 def test_sobolev_deficit_extremal_example(tmp_path):
@@ -100,6 +128,9 @@ def test_sobolev_deficit_extremal_example(tmp_path):
     with open(os.path.join(out, "sobolev_deficit.json"),
               encoding="utf-8") as fh:
         rep = json.load(fh)
+    assert list(rep) == ["q", "n", "rho", "lq_norm_sq", "l2_norm_sq",
+                         "grad_norm_sq", "lhs", "rhs", "deficit",
+                         "deficit_rel"]
     assert abs(rep["deficit_rel"]) <= 1e-3
 
 
@@ -113,6 +144,11 @@ def test_verify_cd_jacobi_corpus(tmp_path):
         lines = fh.read().strip().split("\n")
     assert len(lines) == 51                        # header + 50 margins
     assert all(float(line.split(",")[1]) >= -5e-3 for line in lines[1:])
+    with open(os.path.join(out, "cd_summary.json"), encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert list(summary) == ["cd_margin_min", "rho", "n", "corpus_size",
+                             "min_margin_over_corpus"]
+    assert summary["corpus_size"] == 50 and summary["n"] == 4.5
 
 
 def test_minimize_command(tmp_path):
@@ -125,6 +161,9 @@ def test_minimize_command(tmp_path):
     assert os.path.exists(os.path.join(out, "minimizer.csv"))
     with open(os.path.join(out, "minimizer.json"), encoding="utf-8") as fh:
         rep = json.load(fh)
+    assert list(rep) == ["A", "q", "d_prime", "lambda", "c", "i_value",
+                         "el_residual_norm", "constancy", "iterations",
+                         "converged", "backward_error", "newton_steps"]
     assert rep["backward_error"] <= 1e-13 and rep["newton_steps"] >= 1
 
 

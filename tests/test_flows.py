@@ -170,7 +170,7 @@ def test_fd_flow_dense_q_matches_reference_to_roundoff():
 def test_fd_flow_ends_at_T(dt, steps):
     prob = FiniteDimProblem(Q=np.eye(2), rho=1.0)
     trace = fd_flow(prob, np.ones(2), T=1.0, dt=dt)
-    assert trace.times[-1] == 1.0 and trace.summary()["T"] == 1.0
+    assert trace.times[-1] == 1.0
     assert trace.steps == steps
     assert np.allclose(np.diff(trace.times), 1.0 / steps, rtol=1e-12)
 
@@ -559,13 +559,13 @@ def test_fast_diffusion_newton_budget(sphere, monkeypatch):
 
 def test_flow_telemetry(sphere):
     mu = normalized(sphere, 1.0 + 0.5 * np.cos(sphere.grid))
-    summary = fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.05).summary()
-    assert summary["steps"] == 10 and summary["stop_reason"] == "T"
-    assert 10 <= summary["newton_iterations"] <= 40
+    trace = fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.05)
+    assert trace.steps == 10 and trace.stop_reason == "T"
+    assert 10 <= trace.newton_iterations <= 40
     prob = FiniteDimProblem(Q=np.eye(2), rho=1.0)
-    summary = fd_flow(prob, np.ones(2), T=1.0, dt=0.01).summary()
-    assert (summary["steps"], summary["newton_iterations"],
-            summary["stop_reason"]) == (100, 0, "T")
+    trace = fd_flow(prob, np.ones(2), T=1.0, dt=0.01)
+    assert (trace.steps, trace.newton_iterations,
+            trace.stop_reason) == (100, 0, "T")
 
 
 # ------------------------------------------------------ entropy-Sobolev link

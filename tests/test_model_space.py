@@ -353,11 +353,3 @@ def test_circle_periodicity():
     resid = apply_L(space, f).values + f.values
     assert np.abs(resid).max() <= 1e-3
     assert np.allclose(space.quad_weights, 1.0 / 128)
-
-
-def test_space_serialization():
-    space = build_space("jacobi", 2, 4.5, 64)
-    doc = space.to_json_dict()
-    assert doc["kind"] == "jacobi"
-    assert doc["n"] == 4.5
-    assert set(doc) == {"kind", "d", "n", "rho", "resolution", "Z"}

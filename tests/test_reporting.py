@@ -316,6 +316,17 @@ def test_svg_rejects_non_finite_values(bad):
         assert raised(svg_line_plot, series, *labels.values()) == message
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([0.0, 1.0, 2.0], [0.0, 10.0]),         # would draw 2 of 3 points
+    (np.array([0.0]), np.array([1.0, 2.0])),
+    ([], [1.0]),
+])
+def test_svg_rejects_series_of_unequal_lengths(xs, ys):
+    series = [("a", [0.0, 1.0], [1.0, 2.0]), ("b", xs, ys)]
+    with pytest.raises(InvalidParameter, match="as many xs as ys"):
+        svg_line_plot(series, title="t", xlabel="x", ylabel="y")
+
+
 # ---------------------------------------------------------------------------
 # corpora
 # ---------------------------------------------------------------------------

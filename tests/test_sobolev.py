@@ -117,11 +117,3 @@ def test_jacobi_extremal_not_asserted_zero():
     prof = space.field((2.0 - np.cos(space.grid)) ** (-(space.n - 2.0) / 2.0))
     rep = sobolev_deficit(space, prof, critical_exponent(space.n))
     assert rep.deficit >= -1e-6 * (1.0 + rep.rhs)
-
-
-def test_report_serialization():
-    space = build_space("sphere_radial", 3, 3.0, 128)
-    rep = sobolev_deficit(space, space.field(np.ones(128)), 4.0)
-    doc = rep.to_json_dict()
-    assert set(doc) == {"q", "n", "rho", "lq_norm_sq", "l2_norm_sq",
-                        "grad_norm_sq", "lhs", "rhs", "deficit", "deficit_rel"}

@@ -88,6 +88,23 @@ def test_relative_import_graph_is_acyclic():
         visit(name)
 
 
+LIBRARY = ("model_space", "gamma_calculus", "sobolev", "variational", "flows")
+FRONT_END = {"reporting", "acceptance", "cli"}
+
+
+def test_library_modules_import_no_front_end():
+    # the library only computes: acceptance decides what each artifact
+    # contains, reporting fixes its bytes and cli dispatches commands
+    modules = _modules()
+    for name in LIBRARY:
+        tree = modules[name]
+        absolute = [node for node in ast.walk(tree)
+                    if any(_imports_from(node, f"cdsobolev.{m}")
+                           for m in FRONT_END)]
+        assert _relative_imports(tree, modules) & FRONT_END == set(), name
+        assert absolute == [], name
+
+
 def test_no_module_imports_scipy_sparse():
     users = sorted(name for name, tree in _modules().items()
                    if _imports_scipy_sparse(tree))
