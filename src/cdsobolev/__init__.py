@@ -14,10 +14,10 @@ from .variational import (MinimizeOptions, MinimizerReport, RigidityEntry,
                           a_star, gamma2_identity_residual,
                           minimize_subcritical, pressure_pde_residual,
                           pressure_transform, rigidity_scan)
-from .flows import (FiniteDimProblem, FlowOptions, FlowTrace,
-                    condition_215_margin, convexity_inequality_margin,
-                    convexity_relation_margin, density_from_field,
-                    entropy_inequality_margin, fast_diffusion_flow, fd_flow,
-                    renyi_entropy, renyi_grad_norm_sq, renyi_hessian_quadform)
+from .flows import (FiniteDimProblem, FlowTrace, condition_215_margin,
+                    convexity_inequality_margin, convexity_relation_margin,
+                    density_from_field, entropy_inequality_margin,
+                    fast_diffusion_flow, fd_flow, renyi_entropy,
+                    renyi_grad_norm_sq, renyi_hessian_quadform)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -38,10 +38,10 @@ import numpy as np
 from .errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
                      InvalidParameter, NoConvergence, NotAProbabilityDensity,
                      PositivityLost, StepUnstable, UnsupportedKind)
-from .model_space import (ModelSpace, ScalarField, _apply_L, _diff1,
-                          _gamma_terms, _quadrature, _with_ghosts,
-                          apply_stiffness, fv_stiffness, integrate,
-                          tridiagonal_solver)
+from .model_space import (ModelSpace, ScalarField, _apply_L,
+                          _check_same_space, _diff1, _gamma_terms,
+                          _quadrature, _with_ghosts, apply_stiffness,
+                          fv_stiffness, integrate, tridiagonal_solver)
 from .sobolev import grad_norm_sq
 
 MASS_TOL = 1e-8
@@ -301,6 +301,7 @@ def renyi_hessian_quadform(space: ModelSpace, mu: ScalarField, alpha: float,
     """
     _check_alpha(alpha)
     _check_density(space, mu)
+    _check_same_space(space, phi)
     _, lphi, _, g2 = _gamma_terms(space, phi.values)
     return _hessian_quadform(space, mu, alpha, lphi, g2)
 
@@ -330,6 +331,7 @@ def hessian_second_derivative(space: ModelSpace, mu: ScalarField,
     """
     _check_alpha(alpha)
     _check_density(space, mu)
+    _check_same_space(space, phi)
     m = mu.values
     p = _with_ghosts(space, phi.values)
     dm, dp = _diff1(space, _with_ghosts(space, m)), _diff1(space, p)
@@ -350,15 +352,10 @@ def hessian_second_derivative(space: ModelSpace, mu: ScalarField,
 # fast diffusion flow
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlowOptions:
-    dt: float = 5e-3
-    floor: float = 1e-8
-    grad_stop: float = 1e-12
-
-
 NEWTON_MAX_ITER = 20
 NEWTON_RTOL = 1e-10
+POSITIVITY_FLOOR = 1e-8  # fast diffusion raises once min mu <= this
+GRAD_STOP = 1e-12        # and stops once |grad R_alpha|^2 < this at a record
 
 
 def _midpoint_step(bands, w: np.ndarray, m: np.ndarray, alpha: float):
@@ -390,13 +387,13 @@ def _midpoint_step(bands, w: np.ndarray, m: np.ndarray, alpha: float):
 
 
 def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
-                        T: float, opts: FlowOptions | None = None) -> FlowTrace:
+                        T: float, dt: float = 5e-3) -> FlowTrace:
     """Integrate d/dt mu = (1/alpha) L mu^alpha by the implicit midpoint rule.
 
     In finite-volume form the flow is w * mu' = -(1/alpha) S mu^alpha with
     the tridiagonal stiffness S of ``fv_stiffness`` and w the quadrature
     weights, so 1^T S = 0 conserves mass to roundoff.  The step is fixed,
-    at most ``opts.dt`` and dividing T evenly; the implicit rule has no CFL
+    at most ``dt`` and dividing T evenly; the implicit rule has no CFL
     bound, so the cost per unit time does not grow like N^2.  Each step
     solves for its midpoint by Newton's method with one tridiagonal solve
     per iteration (see ``_midpoint_step``).  The default dt = 5e-3 is set by
@@ -404,20 +401,19 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
     |dR/dt + |grad R|^2| is measured by centered differences over the
     record spacing, which is dt while T/dt <= MAX_RECORDS, and is 3.2e-4
     relative at dt = 5e-3 but 1.2e-3 (above the 1e-3 gate) at dt = 1e-2.
-    The flow stops at T or once |grad R_alpha|^2 falls below
-    ``opts.grad_stop`` at a record.
+    The flow stops at T or once |grad R_alpha|^2 falls below GRAD_STOP at
+    a record; it raises ``PositivityLost`` once min mu <= POSITIVITY_FLOOR.
     """
-    opts = opts or FlowOptions()
     _check_alpha(alpha)
     if not (0.0 < alpha < 1.0):
         raise InvalidAlpha(f"fast diffusion needs 0 < alpha < 1, got {alpha}")
     _check_density(space, mu0)
     if T <= 0.0:
         raise InvalidParameter("T must be positive")
-    if opts.dt <= 0.0:
+    if dt <= 0.0:
         raise InvalidParameter("dt must be positive")
 
-    nsteps = max(1, math.ceil(T / opts.dt - 1e-9))
+    nsteps = max(1, math.ceil(T / dt - 1e-9))
     dt = T / nsteps
     bands = tuple(0.5 * dt * band for band in fv_stiffness(space))
     w = space.quad_weights
@@ -445,7 +441,7 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
         m, iters = _midpoint_step(bands, w, m, alpha)
         newton += iters
         t = k * dt
-        if float(m.min()) <= opts.floor:
+        if float(m.min()) <= POSITIVITY_FLOOR:
             raise PositivityLost(f"min mu = {m.min()} at t = {t}")
         if k % every == 0 or k == nsteps:
             ent_prev = ent[-1]
@@ -453,7 +449,7 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
             if ent[-1] > ent_prev + 1e-10 * (1.0 + abs(ent_prev)):
                 raise StepUnstable(
                     f"R_alpha increased from {ent_prev} to {ent[-1]} at t={t}")
-            if gn[-1] < opts.grad_stop:
+            if gn[-1] < GRAD_STOP:
                 stop_reason = "grad_stop"
                 break
 
@@ -511,6 +507,7 @@ def entropy_inequality_margin(space: ModelSpace, mu: ScalarField) -> float:
 def density_from_field(space: ModelSpace, f: ScalarField,
                        q: float) -> ScalarField:
     """mu = |f|^q / ||f||_q^q, the probability density carried by f."""
+    _check_same_space(space, f)
     p = np.abs(f.values) ** q
     total = float(np.dot(space.quad_weights, p))
     if total <= 0.0:

@@ -34,28 +34,20 @@ class GammaReport:
     l_field: ScalarField
     cd_margin_field: ScalarField
     cd_margin_min: float
-    rho: float
-    n: float
 
 
-def cd_margin(space: ModelSpace, f: ScalarField,
-              rho: float | None = None, n: float | None = None) -> GammaReport:
-    """Evaluate Gamma_2(f) - rho*Gamma(f) - (Lf)^2/n on every node.
-
-    rho and n default to the space's curvature data; passing explicit values
-    supports monotonicity studies in n.
-    """
+def cd_margin(space: ModelSpace, f: ScalarField) -> GammaReport:
+    """Evaluate Gamma_2(f) - rho*Gamma(f) - (Lf)^2/n on every node, with the
+    space's own curvature data rho and n."""
     if space.kind == "circle":
         raise UnsupportedKind("the circle carries no positive CD bound")
     _check_same_space(space, f)
-    rho = space.rho if rho is None else float(rho)
-    n = space.n if n is None else float(n)
     _, lf, gf, g2f = _gamma_terms(space, f.values)
-    margin = g2f - rho * gf - lf ** 2 / n
+    margin = g2f - space.rho * gf - lf ** 2 / space.n
     return GammaReport(gamma_field=space.field(gf),
                        gamma2_field=space.field(g2f), l_field=space.field(lf),
                        cd_margin_field=space.field(margin),
-                       cd_margin_min=float(margin.min()), rho=rho, n=n)
+                       cd_margin_min=float(margin.min()))
 
 
 def _radial_hessian_terms(space: ModelSpace, f: ScalarField):

@@ -54,7 +54,6 @@ class ModelSpace:
     n: float
     rho: float
     grid: np.ndarray
-    log_weight: np.ndarray
     quad_weights: np.ndarray
     Z: float
     h: float
@@ -62,8 +61,7 @@ class ModelSpace:
     drift: np.ndarray              # W'(theta), zero on the circle
 
     def __post_init__(self):
-        for arr in (self.grid, self.log_weight, self.quad_weights,
-                    self.drift):
+        for arr in (self.grid, self.quad_weights, self.drift):
             arr.setflags(write=False)
 
     @property
@@ -107,9 +105,6 @@ class ScalarField:
     def min(self) -> float:
         return float(self.values.min())
 
-    def max(self) -> float:
-        return float(self.values.max())
-
 
 def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
     """Construct a model space of the given kind.
@@ -152,8 +147,8 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
     Z = float(dens.sum())
     w = dens / Z
     return ModelSpace(kind=kind, d=d, n=n, rho=rho, grid=grid,
-                      log_weight=log_w, quad_weights=w, Z=Z, h=h,
-                      resolution=resolution, drift=drift)
+                      quad_weights=w, Z=Z, h=h, resolution=resolution,
+                      drift=drift)
 
 
 def _check_same_space(space: ModelSpace, *fields: ScalarField):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponent, InvalidParameter, UnsupportedKind
-from .model_space import (ModelSpace, ScalarField, _quadrature, gamma,
-                          integrate)
+from .model_space import (ModelSpace, ScalarField, _check_same_space,
+                          _quadrature, gamma, integrate)
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ def lq_norm(space: ModelSpace, v: ScalarField, q: float) -> float:
     """(int |v|^q dnu)^(1/q)."""
     if q < 1.0:
         raise InvalidExponent(f"q = {q} < 1")
+    _check_same_space(space, v)
     mom = _quadrature(space, np.abs(v.values) ** q)
     return float(mom ** (1.0 / q))
 

@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import (InvalidConfig, InvalidExponent, InvalidParameter,
                      NoConvergence, NonPositiveField, SingularMatrix)
-from .model_space import (ModelSpace, ScalarField, _gamma_terms, _quadrature,
-                          apply_L, apply_stiffness, fv_stiffness, gamma,
-                          tridiagonal_solver)
+from .model_space import (ModelSpace, ScalarField, _check_same_space,
+                          _gamma_terms, _quadrature, apply_L, apply_stiffness,
+                          fv_stiffness, gamma, tridiagonal_solver)
 from .sobolev import a_star, critical_exponent, grad_norm_sq
 
 
@@ -44,7 +44,6 @@ class MinimizeOptions:
     tol: float = 1e-13          # on the componentwise backward error
     max_iter: int = 50000
     raise_on_failure: bool = True
-    record_energy: bool = False
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class MinimizerReport:
     converged: bool
     backward_error: float
     newton_steps: int
-    energy_trace: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -135,6 +133,7 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     if A <= 0.0:
         raise InvalidParameter(f"A = {A} must be positive")
     _check_subcritical(space, q)
+    _check_same_space(space, init)
     if np.abs(init.values).max() == 0.0:
         raise InvalidParameter("init must be positive somewhere")
     if opts.max_iter < 1:
@@ -187,7 +186,6 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
 
     v = project(init.values)
     e = energy(v)
-    trace = [e] if opts.record_energy else None
     newton_steps = 0
     for it in range(opts.max_iter + 1):
         r, cgrad, kappa, beta = stationarity(v)
@@ -216,8 +214,6 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
             eu, is_newton = energy(u), True
         v, e = u, eu
         newton_steps += is_newton
-        if trace is not None:
-            trace.append(e)
 
     converged = beta <= opts.tol
     if not converged and opts.raise_on_failure:
@@ -237,8 +233,7 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
                            el_residual_norm=float(np.abs(el).max()),
                            constancy=float(constancy), iterations=it,
                            converged=converged, backward_error=beta,
-                           newton_steps=newton_steps,
-                           energy_trace=tuple(trace) if trace else ())
+                           newton_steps=newton_steps)
 
 
 def pressure_transform(v: ScalarField, q: float) -> ScalarField:
@@ -277,6 +272,7 @@ def _identity_residual(terms) -> float:
 def gamma2_identity_terms(space: ModelSpace, phi: ScalarField,
                           d_prime: float, c: float) -> tuple[float, float, float]:
     """The three integrals of the Gamma_2 identity, individually."""
+    _check_same_space(space, phi)
     if phi.min() <= 0.0:
         raise NonPositiveField("pressure field must be positive")
     _, lphi, g, g2 = _gamma_terms(space, phi.values)

@@ -63,6 +63,18 @@ def test_fast_diffusion_flow(tmp_path):
         "max_relative_dissipation_residual"]
 
 
+def test_short_fast_diffusion_flow_is_not_converged(tmp_path, monkeypatch):
+    # a flow stopped before equilibrium fails the check and says so
+    flow = acceptance.fast_diffusion_flow
+    monkeypatch.setattr(acceptance, "fast_diffusion_flow",
+                        lambda space, mu0, alpha, T: flow(space, mu0, alpha,
+                                                          T=0.05))
+    assert not acceptance.check_fast_diffusion_flow(tmp_path).passed
+    with open(tmp_path / "fast_diffusion.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["T"] == 0.05 and doc["converged"] is False
+
+
 def test_hessian_formula(tmp_path):
     expect(acceptance.check_hessian_formula(tmp_path, seed=0))
 

@@ -93,6 +93,12 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     assert os.listdir(out) == []               # rejected before any artifact
 
 
+# how the detail of each command's first check ends: with the failed gates
+UNCONVERGED_DETAIL_END = {
+    "critical-limit": "; unconverged at q=5.999999; no extrapolation (one q)",
+    "rigidity-scan": "(need > 0.1)"}
+
+
 @pytest.mark.parametrize("command, doc, table", [
     # the minimization at A*(d'(q)) for q next to 2* = 6 does not converge
     ("critical-limit", {"q_list": [5.999999], "space": {"resolution": 2048}},
@@ -109,7 +115,10 @@ def test_unconverged_minimizer_exits_1_with_manifest(tmp_path, capsys,
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert "Traceback" not in capsys.readouterr().err
-    assert read_manifest(str(out))["status"] == "fail"
+    manifest = read_manifest(str(out))
+    assert manifest["status"] == "fail"
+    assert manifest["checks"][0]["detail"].endswith(
+        UNCONVERGED_DETAIL_END[command])
     lines = (out / table).read_text(encoding="utf-8").strip().split("\n")
     assert lines[0].split(",")[-1] == "converged"
     assert [line.split(",")[-1] for line in lines[1:]] == ["false"]

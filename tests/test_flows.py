@@ -12,7 +12,7 @@ from cdsobolev.errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
                               InvalidParameter, NoConvergence,
                               NotAProbabilityDensity, PositivityLost,
                               StepUnstable)
-from cdsobolev.flows import (FiniteDimProblem, FlowOptions, _rk4_step,
+from cdsobolev.flows import (FiniteDimProblem, _rk4_step,
                              condition_215_margin, convexity_inequality_margin,
                              convexity_relation_margin, density_from_field,
                              entropy_inequality_margin, fast_diffusion_flow,
@@ -460,18 +460,17 @@ def test_fast_diffusion_validation(sphere):
     with pytest.raises(InvalidParameter):
         fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.0)
     with pytest.raises(InvalidParameter):
-        fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=1.0,
-                            opts=FlowOptions(dt=0.0))
+        fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=1.0, dt=0.0)
     with pytest.raises(NotAProbabilityDensity):
         fast_diffusion_flow(sphere, sphere.field(2.0 + np.zeros(256)),
                             2.0 / 3.0, T=1.0)
 
 
-def test_fast_diffusion_floor_abort(sphere):
+def test_fast_diffusion_floor_abort(sphere, monkeypatch):
     mu = normalized(sphere, 1.0 + 0.5 * np.cos(sphere.grid))
+    monkeypatch.setattr(flows, "POSITIVITY_FLOOR", 0.99)
     with pytest.raises(PositivityLost):
-        fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=1.0,
-                            opts=FlowOptions(floor=0.99))
+        fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=1.0)
 
 
 def test_fast_diffusion_structure(sphere):
@@ -496,8 +495,7 @@ def test_fast_diffusion_step_refinement(sphere):
     # implicit midpoint is second order: halving dt quarters the endpoint
     # error, so successive differences shrink by a factor near 4
     mu = normalized(sphere, 1.0 + 0.5 * np.cos(sphere.grid))
-    ends = [fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.05,
-                                opts=FlowOptions(dt=dt)).entropy[-1]
+    ends = [fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.05, dt=dt).entropy[-1]
             for dt in (0.005, 0.0025, 0.00125)]
     d1, d2 = ends[0] - ends[1], ends[1] - ends[2]
     assert 3.5 <= d1 / d2 <= 4.5
@@ -516,8 +514,7 @@ def test_fast_diffusion_matches_explicit_reference(kind, d, n):
     for _ in range(steps):
         m = _rk4_step(lambda v: lap(v ** alpha) / alpha, m, T / steps)
     ref = np.dot(space.quad_weights, m ** alpha) / (alpha * (alpha - 1.0))
-    trace = fast_diffusion_flow(space, mu, alpha, T=T,
-                                opts=FlowOptions(dt=0.00125))
+    trace = fast_diffusion_flow(space, mu, alpha, T=T, dt=0.00125)
     assert abs(trace.entropy[-1] - ref) <= 1e-7
 
 
@@ -525,29 +522,29 @@ def test_fast_diffusion_matches_explicit_reference(kind, d, n):
 @pytest.mark.parametrize("kind, d, n", [("sphere_radial", 3, 3.0),
                                         ("jacobi", 2, 4.5),
                                         ("circle", 1, 1.0)])
-def test_fast_diffusion_invariants(kind, d, n, N):
+def test_fast_diffusion_invariants(kind, d, n, N, monkeypatch):
     # mass, Lyapunov decrease and the stopping rule over seeded cosine
-    # starts; grad_stop = 1e-4 lets some flows stop early and some reach T
+    # starts; GRAD_STOP = 1e-4 lets some flows stop early and some reach T
     space = build_space(kind, d, n, N)
     T = 1.0
-    opts = FlowOptions(grad_stop=1e-4)
+    monkeypatch.setattr(flows, "GRAD_STOP", 1e-4)
     for seed in range(3):
         rng = np.random.default_rng(seed)
         p = sum(c * np.cos(k * space.grid)
                 for k, c in enumerate(rng.uniform(-1.0, 1.0, 3), start=1))
         mu = normalized(space, 1.0 + 0.5 * p / np.abs(p).max())
-        trace = fast_diffusion_flow(space, mu, 2.0 / 3.0, T=T, opts=opts)
+        trace = fast_diffusion_flow(space, mu, 2.0 / 3.0, T=T)
         assert np.abs(trace.mass - trace.mass[0]).max() <= 1e-10
         assert np.all(np.diff(trace.entropy) < 0.0)
         assert trace.steps == len(trace.times) - 1
         assert trace.steps <= trace.newton_iterations <= 4 * trace.steps
         if trace.stop_reason == "grad_stop":
-            assert trace.grad_norm_sq[-1] < opts.grad_stop
+            assert trace.grad_norm_sq[-1] < flows.GRAD_STOP
             assert trace.times[-1] < T
         else:
             assert trace.stop_reason == "T"
             assert abs(trace.times[-1] - T) <= 1e-12
-            assert np.all(trace.grad_norm_sq >= opts.grad_stop)
+            assert np.all(trace.grad_norm_sq >= flows.GRAD_STOP)
 
 
 def test_fast_diffusion_newton_budget(sphere, monkeypatch):

@@ -13,7 +13,7 @@ def test_cd_equality_witness_sphere():
     space = build_space("sphere_radial", 3, 3.0, 512)
     rep = cd_margin(space, space.field_from_function(np.cos))
     assert abs(rep.cd_margin_min) <= 5e-3
-    assert rep.rho == 2.0 and rep.n == 3.0
+    assert space.rho == 2.0 and space.n == 3.0
 
 
 def test_cd_equality_witness_jacobi():
@@ -31,11 +31,15 @@ def test_cd_margin_second_order_refinement():
 
 
 def test_cd_margin_monotone_in_n():
-    # dropping the dimension term's weight (larger n) can only help
+    # dropping the dimension term's weight (larger n) can only help: the
+    # margin at n is formed from the report's Gamma, Gamma_2 and L fields
     space = build_space("sphere_radial", 3, 3.0, 256)
-    f = space.field(1.0 + 0.5 * np.cos(2 * space.grid))
-    m1 = cd_margin(space, f, n=3.0).cd_margin_min
-    m2 = cd_margin(space, f, n=6.0).cd_margin_min
+    rep = cd_margin(space, space.field(1.0 + 0.5 * np.cos(2 * space.grid)))
+    g, g2 = rep.gamma_field.values, rep.gamma2_field.values
+    lf = rep.l_field.values
+    m1, m2 = (float((g2 - space.rho * g - lf ** 2 / n).min())
+              for n in (3.0, 6.0))
+    assert m1 == rep.cd_margin_min
     assert m2 >= m1
 
 

@@ -7,9 +7,14 @@ import scipy.sparse as sp
 from cdsobolev import apply_L, build_space, gamma, gamma2, ibp_residual, integrate
 from cdsobolev.errors import (InvalidConfig, InvalidParameter, SingularMatrix,
                               SpaceMismatch)
+from cdsobolev.flows import (density_from_field, hessian_second_derivative,
+                             renyi_hessian_quadform)
 from cdsobolev.model_space import (_check_same_space, _diff1, _diff2,
                                    _fill_ghosts, apply_stiffness, fv_stiffness,
                                    tridiagonal_solver, weighted_laplacian_fv)
+from cdsobolev.sobolev import lq_norm, sobolev_deficit
+from cdsobolev.variational import (gamma2_identity_terms, minimize_subcritical,
+                                   rigidity_scan)
 
 
 def ones_field(space):
@@ -353,3 +358,40 @@ def test_circle_periodicity():
     resid = apply_L(space, f).values + f.values
     assert np.abs(resid).max() <= 1e-3
     assert np.allclose(space.quad_weights, 1.0 / 128)
+
+
+def _cosine_density(space):
+    raw = 1.0 + 0.5 * np.cos(space.grid)
+    return space.field(raw / integrate(space, space.field(raw)))
+
+
+# library entries taking a field f that must live on the space passed
+FIELD_ENTRIES = {
+    "lq_norm": lambda space, f: lq_norm(space, f, 4.0),
+    "sobolev_deficit": lambda space, f: sobolev_deficit(space, f, 6.0),
+    "density_from_field": lambda space, f: density_from_field(space, f, 6.0),
+    "minimize_subcritical": lambda space, f: minimize_subcritical(
+        space, 2.1, 5.0, f),
+    "rigidity_scan": lambda space, f: rigidity_scan(space, 5.0, [2.1],
+                                                    init=f),
+    "renyi_hessian_quadform": lambda space, f: renyi_hessian_quadform(
+        space, _cosine_density(space), 2.0 / 3.0, f),
+    "hessian_second_derivative": lambda space, f: hessian_second_derivative(
+        space, _cosine_density(space), 2.0 / 3.0, f),
+    "gamma2_identity_terms": lambda space, f: gamma2_identity_terms(
+        space, f, 10.0 / 3.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FIELD_ENTRIES))
+@pytest.mark.parametrize("other", [("sphere_radial", 3, 3.0, 128),
+                                   ("jacobi", 2, 4.5, 64)],
+                         ids=["other_resolution", "other_kind"])
+def test_entries_reject_a_field_of_another_space(entry, other):
+    # unchecked, a field at another N ends in numpy's bare ValueError, and
+    # one of another kind at the same N gives a silently wrong number
+    space = build_space("sphere_radial", 3, 3.0, 64)
+    foreign = build_space(*other)
+    f = foreign.field(1.0 + 0.4 * np.cos(foreign.grid))
+    with pytest.raises(SpaceMismatch):
+        FIELD_ENTRIES[entry](space, f)

@@ -185,6 +185,33 @@ def _opens_for_writing(call):
                 and not set(mode.value) & set("wax+"))
 
 
+def _options_fields(tree):
+    """{name: fields} of the ``*Options`` classes defined in ``tree``."""
+    return {node.name: {stmt.target.id for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)}
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Options")}
+
+
+def test_every_options_field_is_set_by_a_front_end():
+    # a library setting that no command or check sets is a configuration
+    # only tests reach: make it a constant instead
+    modules = _modules()
+    options = {}
+    for name in LIBRARY:
+        options.update(_options_fields(modules[name]))
+    assert options
+    passed = {name: set() for name in options}
+    for tree in (modules["cli"], modules["acceptance"]):
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            callee = ast.unparse(call.func).rsplit(".", 1)[-1]
+            if callee in passed:
+                passed[callee].update(k.arg for k in call.keywords)
+    unset = {name: sorted(fields - passed[name])
+             for name, fields in options.items() if fields - passed[name]}
+    assert unset == {}
+
+
 def test_artifacts_are_written_only_by_the_reporting_writers():
     # benchmarks/tracing.py counts reporting.writes and reporting.bytes on
     # the four writers: a file written any other way would go uncounted
