@@ -323,15 +323,18 @@ def check_rigidity_threshold(scan, out_dir) -> CheckResult:
                         f"{space.kind.removesuffix('_radial')} d={space.d}, "
                         f"q={q}",
                   xlabel="A / A*", ylabel="term value")
+    # measured is the constancy above A* alone: name the other gates
+    unconverged = [f"unconverged at A={e.report.A:g}" for e in entries
+                   if not e.report.converged]
     passed = (const_above <= 1e-6 and ival_above <= 1e-8
-              and const_below > 0.1
-              and all(e.report.converged for e in entries))
-    at = ",".join(f"{r.A:g}" for r in below) or "none"
+              and const_below > 0.1 and not unconverged)
+    at = ",".join(f"{r.A:g}" for r in below)
+    notes = ([f"constancy at A={at} is {const_below:.3f} (need > 0.1)"]
+             if below else []) + unconverged
     return CheckResult("rigidity_threshold", passed, const_above, 1e-6,
                        f"max constancy over {len(above)} scan points with "
                        f"A >= A*; max |i_value - 1| = {ival_above:.3e} "
-                       f"(tol 1e-8); constancy at A={at} is "
-                       f"{const_below:.3f} (need > 0.1)")
+                       "(tol 1e-8)" + "".join(f"; {note}" for note in notes))
 
 
 def check_integral_identity(scan, out_dir) -> CheckResult:
@@ -349,6 +352,12 @@ def check_integral_identity(scan, out_dir) -> CheckResult:
                        f"N={space.resolution}")
 
 
+# RK4 multiplies x' = -rho x by exp(-rho dt - (rho dt)^5/120 + ...) a step,
+# so the slope of log F is off by 2 rho (rho dt)^4/120: 8.5e-8 at rho = 2,
+# a tenth of the 1e-6 gate at dt = 0.02
+FINITE_DIM_DT = 0.02
+
+
 def check_finite_dim_decay(out_dir, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed + 2)
     rows = []
@@ -358,7 +367,7 @@ def check_finite_dim_decay(out_dir, seed=0) -> CheckResult:
         for m in (2, 5):
             prob = FiniteDimProblem(Q=rho * np.eye(m), rho=rho)
             x0 = rng.uniform(-2.0, 2.0, m)
-            trace = fd_flow(prob, x0, T=5.0, dt=0.005)
+            trace = fd_flow(prob, x0, T=5.0, dt=FINITE_DIM_DT)
             logf = np.log(trace.entropy)
             slope = float(np.polyfit(trace.times, logf, 1)[0])
             err = abs(slope + 2.0 * rho)
@@ -368,7 +377,7 @@ def check_finite_dim_decay(out_dir, seed=0) -> CheckResult:
             series.append((f"rho={rho}, m={m}", trace.times, logf))
     # run-to-convergence on the quartic family plus sampled margins
     quartic = FiniteDimProblem(Q=2.0 * np.eye(3), rho=2.0, eps=0.1)
-    qtrace = fd_flow(quartic, np.ones(3), T=20.0, dt=0.005)
+    qtrace = fd_flow(quartic, np.ones(3), T=20.0, dt=FINITE_DIM_DT)
     final_grad = float(np.sqrt(qtrace.grad_norm_sq[-1]))
     min_margin = min(float(convexity_inequality_margin(
         FiniteDimProblem(Q=2.0 * np.eye(3), rho=2.0, eps=eps),
@@ -398,8 +407,7 @@ def check_fast_diffusion_flow(out_dir, resolution=256) -> CheckResult:
         / trace.times[-1]
     monotone = float((np.diff(ent) - 1e-12 * (1.0 + np.abs(ent[:-1]))).max())
     scale = np.maximum(gn, 1e-6 * gn.max())
-    rel_diss = trace.dissipation_residual[1:-1] / scale[1:-1]
-    worst_diss = float(rel_diss.max())
+    worst_diss = float((trace.dissipation_residual / scale).max())
     final_dist = float(trace.sup_distance[-1])
     final_ent_err = abs(float(ent[-1]) + 4.5)
     converged = final_dist <= 1e-4 and final_ent_err <= 1e-6

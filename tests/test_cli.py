@@ -96,7 +96,7 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
 # how the detail of each command's first check ends: with the failed gates
 UNCONVERGED_DETAIL_END = {
     "critical-limit": "; unconverged at q=5.999999; no extrapolation (one q)",
-    "rigidity-scan": "(need > 0.1)"}
+    "rigidity-scan": "(tol 1e-8); unconverged at A=1.05"}
 
 
 @pytest.mark.parametrize("command, doc, table", [
