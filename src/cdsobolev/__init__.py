@@ -11,8 +11,7 @@ from .gamma_calculus import (GammaReport, bochner_residual,
 from .sobolev import (SobolevReport, critical_exponent, extremal_field,
                       lq_norm, sharp_constants, sobolev_deficit)
 from .variational import (MinimizeOptions, MinimizerReport, RigidityEntry,
-                          a_star, gamma2_identity_residual,
-                          minimize_subcritical, pressure_pde_residual,
+                          a_star, minimize_subcritical, pressure_pde_residual,
                           pressure_transform, rigidity_scan)
 from .flows import (FiniteDimProblem, FlowTrace, condition_215_margin,
                     convexity_inequality_margin, convexity_relation_margin,

@@ -307,22 +307,19 @@ def check_rigidity_threshold(scan, out_dir) -> CheckResult:
     const_below = min((r.constancy for r in below), default=np.inf)
     write_csv(os.path.join(out_dir, "rigidity_scan.csv"),
               ["A", "A_over_Astar", "q", "d_prime", "i_value", "constancy",
-               "el_residual", "identity_residual", "term1", "term2", "term3",
+               "el_residual", "identity_residual", "term1", "term2",
                "converged"],
               [(e.report.A, e.A_over_a_star, e.report.q, e.report.d_prime,
                 e.report.i_value, e.report.constancy,
                 e.report.el_residual_norm, e.identity_residual, e.term_cd,
-                e.term_gap, e.term_f, e.report.converged) for e in entries])
-    if above:
-        xs = [e.A_over_a_star for e in above]
-        write_svg(os.path.join(out_dir, "rigidity_scan.svg"),
-                  [("term_cd", xs, [e.term_cd for e in above]),
-                   ("term_gap", xs, [e.term_gap for e in above]),
-                   ("term_f", xs, [e.term_f for e in above])],
-                  title=f"rigidity decomposition, "
-                        f"{space.kind.removesuffix('_radial')} d={space.d}, "
-                        f"q={q}",
-                  xlabel="A / A*", ylabel="term value")
+                e.term_gap, e.report.converged) for e in entries])
+    xs = [e.A_over_a_star for e in entries]
+    write_svg(os.path.join(out_dir, "rigidity_scan.svg"),
+              [("term_cd", xs, [e.term_cd for e in entries]),
+               ("term_gap", xs, [e.term_gap for e in entries])],
+              title=f"rigidity decomposition, "
+                    f"{space.kind.removesuffix('_radial')} d={space.d}, q={q}",
+              xlabel="A / A*", ylabel="term value")
     # measured is the constancy above A* alone: name the other gates
     unconverged = [f"unconverged at A={e.report.A:g}" for e in entries
                    if not e.report.converged]
@@ -664,9 +661,9 @@ def run_minimize(out_dir, space, A, q, init, opts):
     ]
 
 
-def run_rigidity_scan(out_dir, space, q, a_values, f_spec, init, opts):
+def run_rigidity_scan(out_dir, space, q, a_values, init, opts):
     """The rigidity and identity checks on a configured scan."""
-    scan = _scan(space, q, a_values, f_spec=f_spec, init=init, opts=opts)
+    scan = _scan(space, q, a_values, init=init, opts=opts)
     return [check_rigidity_threshold(scan, out_dir),
             check_integral_identity(scan, out_dir)]
 

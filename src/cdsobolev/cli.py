@@ -178,12 +178,7 @@ def _rigidity_scan(cfg, seed, resolution):
             _number(rng_spec, "hi", 2.1, "A_range"),
             _integer(rng_spec, "count", 11, "A_range", 1, MAX_COUNT)))
     _check_weights(a_values, "config")
-    f_block = cfg.get("f", {})
-    _check_keys(f_block, {"kind", "s"}, "f")
-    f_spec = {"kind": f_block.get("kind", "constant"),
-              "s": _number(f_block, "s", 0.0, "f")}
-    return {**_minimizer(cfg, resolution, 2048), "a_values": a_values,
-            "f_spec": f_spec}
+    return {**_minimizer(cfg, resolution, 2048), "a_values": a_values}
 
 
 def _critical_limit(cfg, seed, resolution):
@@ -212,7 +207,7 @@ COMMANDS = {
                               "check_extremal_saturation", False),
     "minimize": Command({"space", "A", "q", "init", "tol", "max_iter"},
                         _minimize, "run_minimize"),
-    "rigidity-scan": Command({"space", "q", "A_list", "A_range", "f", "init",
+    "rigidity-scan": Command({"space", "q", "A_list", "A_range", "init",
                               "tol", "max_iter"}, _rigidity_scan,
                              "run_rigidity_scan"),
     "critical-limit": Command({"space", "q_list"}, _critical_limit,

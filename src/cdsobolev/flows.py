@@ -161,13 +161,14 @@ _ONE_SIDED5 = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
 def _time_derivative(e: np.ndarray, t: np.ndarray) -> np.ndarray:
     """dE/dt at every record: fourth order on five or more uniformly spaced
     records (the end records one-sided), else ``np.gradient`` (second
-    order inside, first at the ends).  Records are non-uniform when a
-    flow's step count is not a multiple of its record interval."""
-    if len(t) < 5:
-        return np.gradient(e, t) if len(t) >= 2 else np.zeros_like(t)
+    order, the ends too once there are three records).  Records are
+    non-uniform when a flow's step count is not a multiple of its record
+    interval."""
+    if len(t) < 2:
+        return np.zeros_like(t)
     h = (t[-1] - t[0]) / (len(t) - 1)
-    if np.abs(np.diff(t) - h).max() > 1e-9 * h:
-        return np.gradient(e, t)
+    if len(t) < 5 or np.abs(np.diff(t) - h).max() > 1e-9 * h:
+        return np.gradient(e, t, edge_order=min(len(t) - 1, 2))
     de = np.empty_like(e)
     de[2:-2] = np.convolve(e, _CENTERED5[::-1], "valid")
     de[:2] = _ONE_SIDED5 @ e[:5]

@@ -20,9 +20,11 @@ and the integral identity
     int (Gamma_2(Phi) - (L Phi)^2/d' - (c/d') Gamma(Phi)) Phi^{1-d'} dnu = 0,
     c = 2 lambda (d'-1),
 
-both of which are exposed as residual evaluators.  ``rigidity_scan`` sweeps
-A across the sharp threshold A* = 4(d'-1)/(d'(d'-2) rho) and reports the
-three-term rigidity decomposition at each minimizer.
+whose three integrals ``gamma2_identity_terms`` evaluates.  ``rigidity_scan``
+sweeps A across the sharp threshold A* = 4(d'-1)/(d'(d'-2) rho) and splits
+the identity at each minimizer into two rigidity terms: the CD-positive part
+int (Gamma_2(Phi) - rho Gamma(Phi) - (L Phi)^2/d') Phi^{1-d'} and the gap
+(rho - c/d') int Gamma(Phi) Phi^{1-d'}, whose coefficient changes sign at A*.
 """
 
 from __future__ import annotations
@@ -65,24 +67,25 @@ class MinimizerReport:
 
 @dataclass(frozen=True)
 class RigidityEntry:
-    """One scan point: the minimizer plus the three rigidity-identity terms.
+    """One scan point: the minimizer plus the two rigidity terms.
 
-    term_cd + term_gap + term_f sums to ~0 for converged Euler-Lagrange
-    solutions when f is constant; term_cd is the CD-positive part, term_gap
-    carries the coefficient (rho - c/d') that flips sign at A*, and term_f is
-    the monotone-f contribution.  identity_terms are the three integrals of
-    the Gamma_2 identity (``gamma2_identity_terms``) at the pressure function.
+    identity_terms are the three integrals of the Gamma_2 identity
+    (``gamma2_identity_terms``) at the pressure function, and the two terms
+    are derived from them: term_cd, the CD-positive part, and term_gap, which
+    carries the coefficient (rho - c/d') that changes sign at A*.  They sum
+    to the signed identity residual, ~0 at converged Euler-Lagrange solutions.
     """
     report: MinimizerReport
     A_over_a_star: float
     term_cd: float
     term_gap: float
-    term_f: float
     identity_terms: tuple[float, float, float]
 
     @property
     def identity_residual(self) -> float:
-        return _identity_residual(self.identity_terms)
+        """|int (Gamma_2(Phi) - (L Phi)^2/d' - (c/d') Gamma(Phi)) Phi^{1-d'}|."""
+        t_g2, t_lap, t_gam = self.identity_terms
+        return abs(t_g2 - t_lap - t_gam)
 
     @property
     def identity_scale(self) -> float:
@@ -255,79 +258,37 @@ def pressure_pde_residual(space: ModelSpace, phi: ScalarField,
     return float(np.abs(res).max())
 
 
-def _identity_terms(space: ModelSpace, weight, lphi, g, g2, d_prime: float,
-                    c: float) -> tuple[float, float, float]:
-    """``gamma2_identity_terms`` from Phi^{1-d'}, L Phi, Gamma, Gamma_2."""
-    return (_quadrature(space, g2 * weight),
-            _quadrature(space, lphi ** 2 / d_prime * weight),
-            _quadrature(space, c / d_prime * g * weight))
-
-
-def _identity_residual(terms) -> float:
-    """|int (Gamma_2(Phi) - (L Phi)^2/d' - (c/d') Gamma(Phi)) Phi^{1-d'}|."""
-    t_g2, t_lap, t_gam = terms
-    return abs(t_g2 - t_lap - t_gam)
-
-
 def gamma2_identity_terms(space: ModelSpace, phi: ScalarField,
                           d_prime: float, c: float) -> tuple[float, float, float]:
     """The three integrals of the Gamma_2 identity, individually."""
     _check_same_space(space, phi)
     if phi.min() <= 0.0:
         raise NonPositiveField("pressure field must be positive")
-    _, lphi, g, g2 = _gamma_terms(space, phi.values)
-    return _identity_terms(space, phi.values ** (1.0 - d_prime), lphi, g, g2,
-                           d_prime, c)
-
-
-def gamma2_identity_residual(space: ModelSpace, phi: ScalarField,
-                             d_prime: float, c: float) -> float:
-    """|int (Gamma_2(Phi) - (L Phi)^2/d' - (c/d') Gamma(Phi)) Phi^{1-d'} dnu|."""
-    if d_prime <= 2.0:
-        raise InvalidParameter("d' must exceed 2")
-    return _identity_residual(gamma2_identity_terms(space, phi, d_prime, c))
-
-
-# nonincreasing C^1 right-hand-side families f(v) for the rigidity scan
-def make_f_spec(kind: str, s: float = 0.0):
-    """Return (f, f') callables: constant 1, or f(v) = (1+v)^{-s}, s >= 0."""
-    if kind == "constant":
-        return (lambda v: np.ones_like(v)), (lambda v: np.zeros_like(v))
-    if kind == "inverse_power":
-        if s < 0.0:
-            raise InvalidConfig("inverse_power needs s >= 0")
-        return (lambda v: (1.0 + v) ** (-s)),  \
-               (lambda v: -s * (1.0 + v) ** (-s - 1.0))
-    raise InvalidConfig(f"unknown f_spec kind {kind!r}")
-
-
-def rigidity_terms(space: ModelSpace, report: MinimizerReport, f_prime):
-    """Evaluate the three-term rigidity decomposition at a minimizer.
-
-    Uses the subcritical exponent d' = 2q/(q-2) as the dimension parameter
-    (rather than its critical limit n), so that for constant f the three
-    terms recombine into the Gamma_2 integral identity and sum to ~0 at
-    every converged solution.  Returns (term_cd, term_gap, term_f,
-    identity_terms), the last the integrals of ``gamma2_identity_terms``
-    from the same evaluation of Phi.
-    """
-    d_prime, lam, c = report.d_prime, report.lam, report.c
-    v = el_solution(report.minimizer.values, report.i_value, report.q)
-    vf = space.field(v)
-    phi = pressure_transform(vf, report.q)
     weight = phi.values ** (1.0 - d_prime)
     _, lphi, g, g2 = _gamma_terms(space, phi.values)
-    rho = space.rho
-    term_cd = _quadrature(space, (g2 - rho * g - lphi ** 2 / d_prime) * weight)
-    term_gap = (rho - c / d_prime) * _quadrature(space, g * weight)
-    term_f = lam * _quadrature(space, f_prime(v) * phi.values ** 2
-                               * gamma(space, vf, space.field(weight)).values)
-    return term_cd, term_gap, term_f, _identity_terms(space, weight, lphi, g,
-                                                      g2, d_prime, c)
+    return (_quadrature(space, g2 * weight),
+            _quadrature(space, lphi ** 2 / d_prime * weight),
+            _quadrature(space, c / d_prime * g * weight))
+
+
+def rigidity_terms(space: ModelSpace, report: MinimizerReport):
+    """Split the Gamma_2 identity at a minimizer into its two rigidity terms.
+
+    Uses the subcritical exponent d' = 2q/(q-2) as the dimension parameter
+    (rather than its critical limit n).  With G = int Gamma(Phi) Phi^{1-d'},
+    term_cd = t_Gamma2 - t_L - rho G and term_gap = (rho - c/d') G, so the
+    two sum to the identity.  Returns (term_cd, term_gap, identity_terms).
+    """
+    d_prime, c, rho = report.d_prime, report.c, space.rho
+    v = el_solution(report.minimizer.values, report.i_value, report.q)
+    identity = gamma2_identity_terms(
+        space, pressure_transform(space.field(v), report.q), d_prime, c)
+    t_g2, t_lap, t_gam = identity
+    g = t_gam * d_prime / c
+    return t_g2 - t_lap - rho * g, (rho - c / d_prime) * g, identity
 
 
 def rigidity_scan(space: ModelSpace, q: float, a_values,
-                  f_spec: dict | None = None,
                   init: ScalarField | None = None,
                   opts: MinimizeOptions | None = None) -> list[RigidityEntry]:
     """Minimize at each A (ascending) and report the rigidity diagnostics."""
@@ -335,18 +296,16 @@ def rigidity_scan(space: ModelSpace, q: float, a_values,
     a_values = [float(a) for a in a_values]
     if not a_values or sorted(a_values) != a_values:
         raise InvalidConfig("a_values must be nonempty and sorted ascending")
-    f_spec = f_spec or {"kind": "constant"}
-    _, f_prime = make_f_spec(f_spec["kind"], float(f_spec.get("s", 0.0)))
     if init is None:
         init = space.field(1.0 + 0.4 * np.cos(space.grid))
     astar = a_star(critical_exponent(q), space.rho)
     out = []
     for A in a_values:
         rep = minimize_subcritical(space, A, q, init, opts)
-        t_cd, t_gap, t_f, identity = rigidity_terms(space, rep, f_prime)
+        t_cd, t_gap, identity = rigidity_terms(space, rep)
         out.append(RigidityEntry(
             report=rep, A_over_a_star=A / astar, term_cd=t_cd,
-            term_gap=t_gap, term_f=t_f, identity_terms=identity))
+            term_gap=t_gap, identity_terms=identity))
     return out
 
 

@@ -82,6 +82,7 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
                        "A_range": {"count": MAX_COUNT + 1}}),
     ("verify-cd", {"corpus_size": 10000000000000}),
     ("verify-cd", {"corpus_size": MAX_COUNT + 1}),
+    ("rigidity-scan", {"f": {"kind": "constant"}}),  # the f family is gone
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -186,7 +187,7 @@ def test_rigidity_scan_command(tmp_path):
         header = fh.readline().strip().split(",")
     assert header == ["A", "A_over_Astar", "q", "d_prime", "i_value",
                       "constancy", "el_residual", "identity_residual",
-                      "term1", "term2", "term3", "converged"]
+                      "term1", "term2", "converged"]
 
 
 def test_rigidity_and_critical_limit_commands_write_the_suite_artifacts(
@@ -212,7 +213,7 @@ def test_rigidity_and_critical_limit_commands_write_the_suite_artifacts(
 
 @pytest.mark.parametrize("a_list", [
     [1.02, 1.05],  # constant on [A_bif, A*] = [1, 1.05]: no gate below A*
-    [0.05, 0.3],   # no A >= A*: nothing to plot
+    [0.05, 0.3],   # no A >= A*: the plot still shows every scan point
 ])
 def test_rigidity_scan_gates(tmp_path, a_list):
     cfg = write_config(tmp_path, {"A_list": a_list})
@@ -220,8 +221,12 @@ def test_rigidity_scan_gates(tmp_path, a_list):
     assert main(["rigidity-scan", "--config", cfg, "--out", out]) == 0
     names = [c["name"] for c in read_manifest(out)["checks"]]
     assert names == ["rigidity_threshold", "integral_identity"]
-    assert os.path.exists(os.path.join(out, "rigidity_scan.svg")) \
-        == (max(a_list) >= 1.05)
+    with open(os.path.join(out, "rigidity_scan.svg"), encoding="utf-8") as fh:
+        svg = fh.read()
+    # one polyline per term, through every scan point
+    lines = [line for line in svg.splitlines() if "<polyline" in line]
+    assert len(lines) == 2
+    assert all(line.count(",") == len(a_list) for line in lines)
 
 
 def test_resolution_flag_overrides_config(tmp_path):

@@ -260,3 +260,45 @@ def test_fd_flow_steps_without_evaluating():
     calls = [node for stmt in innermost[0].body for node in ast.walk(stmt)
              if isinstance(node, ast.Call)]
     assert [ast.unparse(call.func) for call in calls] == ["_rk4_step"]
+
+
+# public library functions and classes that no src/ module uses, each with
+# why it stays; the set can only shrink
+NO_SRC_CALLER = {
+    "ibp_residual": "test oracle: the IBP residual's O(h^2) property tests",
+    "pressure_pde_residual": "test oracle: the EL-to-pressure chain",
+    "condition_215_margin": "test oracle: condition (2.15) and the batch "
+                            "margins",
+    "renyi_entropy": "test oracle: the Renyi entropy's closed forms",
+    "renyi_grad_norm_sq": "test oracle: the Otto norm's quadratic "
+                          "vanishing and its substitution",
+    "weighted_laplacian_fv": "benchmarks/tracing.py binds it by name",
+    "convexity_relation_margin": "the Sobolev-deficit flow check is to "
+                                 "call it (ROADMAP item 3)",
+}
+
+
+def _public_definitions(modules):
+    """{name: top-level node} of the library's public functions and
+    classes."""
+    return {node.name: node for name in LIBRARY for node in modules[name].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def test_every_public_library_name_has_a_src_caller():
+    # a function only tests call is library code no command or check runs;
+    # re-exports in __init__ and a definition's own body do not count
+    modules = _modules()
+    public = _public_definitions(modules)
+    used = set()
+    for name, tree in modules.items():
+        if name == "__init__":
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                ref = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if ref in public and public[ref] is not top:
+                    used.add(ref)
+    assert set(public) - used == set(NO_SRC_CALLER)

@@ -48,3 +48,30 @@ def test_moved_report_flags_structure(old, new, note):
 def test_usage_error(tmp_path, capsys):
     assert compare_artifacts.main([str(tmp_path)]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_csv_with_another_header_is_compared_by_column(tmp_path, capsys):
+    # in order of appearance, dropping term3 would pair 0.0 with "true"
+    # and every later number with its neighbour's
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    _write(parent, {"scan.csv": "A,term1,term3,converged\n"
+                                "0.05,116.78,0.0,true\n2.1,8e-22,0.0,true\n"})
+    _write(change, {"scan.csv": "A,term1,converged,rate\n"
+                                "0.05,116.78000000000001,true,3\n"
+                                "2.1,8e-22,true,4\n"})
+    assert compare_artifacts.main([str(parent), str(change)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "moved    scan.csv: columns dropped: term3; columns added: rate; "
+        "over shared columns: max rel change 1.22e-16; over |x| >= 1e-06: "
+        "1.22e-16; cells differ in: term1"]
+
+
+@pytest.mark.parametrize("old,new", [
+    ("y,2.0\n", "y,2.5\n"),            # a first row of numbers names nothing
+    ("a,b\n1,2\n", "a,c\n1\n"),         # ragged
+])
+def test_csv_without_column_names_is_compared_in_order(old, new):
+    assert compare_artifacts.csv_report(old, new) \
+        == compare_artifacts.moved_report(old, new)

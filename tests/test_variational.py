@@ -8,7 +8,7 @@ from cdsobolev import build_space, integrate, lq_norm
 from cdsobolev.errors import InvalidConfig, InvalidExponent, InvalidParameter, NonPositiveField
 from cdsobolev.model_space import apply_stiffness, fv_stiffness
 from cdsobolev.variational import (MinimizeOptions, a_star,
-                                   gamma2_identity_residual, make_f_spec,
+                                   gamma2_identity_terms,
                                    minimize_subcritical, pressure_pde_residual,
                                    pressure_transform, rigidity_scan,
                                    subcritical_params)
@@ -150,27 +150,16 @@ def test_el_to_pressure_chain(sphere512, bump_init):
 
 def test_identity_residual_cases(sphere512, constant_report):
     ones = sphere512.field(np.ones(512))
-    assert gamma2_identity_residual(sphere512, ones, 10.0 / 3.0, 1.0) == 0.0
-    with pytest.raises(InvalidParameter):
-        gamma2_identity_residual(sphere512, ones, 2.0, 1.0)
+    assert gamma2_identity_terms(sphere512, ones, 10.0 / 3.0, 1.0) \
+        == (0.0, 0.0, 0.0)
+    with pytest.raises(NonPositiveField):
+        gamma2_identity_terms(sphere512, sphere512.field(np.zeros(512)),
+                              10.0 / 3.0, 1.0)
     d_prime, lam, c = subcritical_params(2.1, 5.0)
     v = constant_report.i_value ** (1.0 / 3.0) * constant_report.minimizer.values
     phi = pressure_transform(sphere512.field(v), 5.0)
-    assert gamma2_identity_residual(sphere512, phi, d_prime, c) <= 1e-5
-
-
-def test_f_spec_families():
-    f, fp = make_f_spec("constant")
-    assert np.all(f(np.array([0.5, 2.0])) == 1.0)
-    assert np.all(fp(np.array([0.5, 2.0])) == 0.0)
-    f, fp = make_f_spec("inverse_power", 1.5)
-    x = np.array([0.5, 2.0])
-    assert np.allclose(f(x), (1.0 + x) ** -1.5)
-    assert np.all(fp(x) < 0.0)
-    with pytest.raises(InvalidConfig):
-        make_f_spec("inverse_power", -1.0)
-    with pytest.raises(InvalidConfig):
-        make_f_spec("increasing")
+    t_g2, t_lap, t_gam = gamma2_identity_terms(sphere512, phi, d_prime, c)
+    assert abs(t_g2 - t_lap - t_gam) <= 1e-5
 
 
 def test_rigidity_scan_constant_entries(sphere512):
@@ -179,7 +168,7 @@ def test_rigidity_scan_constant_entries(sphere512):
         assert e.report.converged
         assert e.report.constancy <= 1e-6
         # every rigidity term vanishes at a constant minimizer
-        for term in (e.term_cd, e.term_gap, e.term_f):
+        for term in (e.term_cd, e.term_gap):
             assert abs(term) <= 1e-12
         assert e.identity_residual <= 1e-12
 
@@ -192,18 +181,10 @@ def test_rigidity_scan_nonconstant_sums_to_zero():
         space = build_space("sphere_radial", 3, 3.0, N)
         e = rigidity_scan(space, 5.0, [0.05])[0]
         assert e.report.constancy > 0.1
-        assert e.term_f == 0.0                        # constant f
-        total = e.term_cd + e.term_gap + e.term_f
+        total = e.term_cd + e.term_gap
         rel[N] = abs(total) / max(abs(e.term_cd), abs(e.term_gap), 1.0)
     assert rel[1024] <= 5e-3
     assert rel[512] / rel[1024] >= 3.0
-
-
-def test_rigidity_scan_monotone_f_term_sign(sphere512):
-    # nonincreasing f makes the f-term nonpositive at a nonconstant minimizer
-    entries = rigidity_scan(sphere512, 5.0, [0.05],
-                            f_spec={"kind": "inverse_power", "s": 1.0})
-    assert entries[0].term_f <= 0.0
 
 
 def test_rigidity_scan_requires_sorted():

@@ -9,6 +9,9 @@ file the numbers in the two texts are paired in order of appearance and
 the largest relative change |a - b| / max(|a|, |b|) is printed, over all
 numbers and over those with max(|a|, |b|) >= 1e-6; a file whose text
 differs outside its numbers, or whose count of numbers differs, is flagged.
+A moved CSV whose header changed has its cells paired by column name over
+the columns both sides share instead; the dropped and added columns, and
+the shared ones whose cells differ, are named.
 Run both sides with the same output path, since ``manifest.json``
 records it.  Exits 1 if the two file sets differ, 2 on bad usage, else 0.
 Standard library only.
@@ -16,6 +19,7 @@ Standard library only.
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 import sys
@@ -60,6 +64,36 @@ def moved_report(old: str, new: str) -> str:
     return "; ".join([line] + notes)
 
 
+def _columns(text: str) -> dict[str, tuple[str, ...]] | None:
+    """{name: cells} of a rectangular CSV whose first row names distinct
+    columns (none of them a number); None for any other text."""
+    rows = list(csv.reader(text.splitlines()))
+    if not rows or len(set(rows[0])) != len(rows[0]) \
+            or any(NUMBER.fullmatch(name) for name in rows[0]) \
+            or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    return {name: tuple(row[i] for row in rows[1:])
+            for i, name in enumerate(rows[0])}
+
+
+def csv_report(old: str, new: str) -> str:
+    """``moved_report`` of two CSVs, by column name when their headers
+    differ."""
+    a, b = _columns(old), _columns(new)
+    if a is None or b is None or list(a) == list(b):
+        return moved_report(old, new)
+    shared = [name for name in a if name in b]
+    notes = [f"columns {what}: {', '.join(names)}" for what, names in (
+        ("dropped", [name for name in a if name not in b]),
+        ("added", [name for name in b if name not in a])) if names]
+    line = moved_report(*("\n".join(",".join(side[name]) for name in shared)
+                          for side in (a, b)))
+    differ = [name for name in shared if a[name] != b[name]]
+    return "; ".join(notes + [f"over shared columns: {line}",
+                              "cells differ in: " + (", ".join(differ)
+                                                     or "none")])
+
+
 def compare(parent: Path, change: Path) -> int:
     left, right = _files(parent), _files(change)
     for name in sorted(left | right):
@@ -73,7 +107,9 @@ def compare(parent: Path, change: Path) -> int:
             if old == new:
                 print(f"same     {name}")
             else:
-                print(f"moved    {name}: " + moved_report(
+                report = csv_report if name.endswith(".csv") \
+                    else moved_report
+                print(f"moved    {name}: " + report(
                     old.decode("utf-8", "replace"),
                     new.decode("utf-8", "replace")))
     return 0 if left == right else 1
