@@ -37,7 +37,11 @@ SPACE_KEYS = {"kind", "d", "n", "resolution"}
 # Admissible energy weights A of ``minimize`` and ``rigidity-scan``.  The
 # minimizer concentrates at width about sqrt(A): at A = 1e-4 on N = 2048 its
 # pressure v^{-(q-2)/2} overflows, and at A = 1e300 so does A S v.  The
-# suite's values, 0.05 to 2A* = 2.1, lie well inside.
+# suite's values, 0.05 to 2A* = 2.1, lie well inside.  An admissible A is
+# not always resolved: the O(h^2) integral_identity residual grows as A
+# falls, and at the default N = 2048 (sphere d = 3, q = 5) the smallest A
+# under its 1e-3 gate is 8.8e-3, so a rigidity-scan down to A_MIN exits 1
+# there.  A finer --resolution extends the range: N = 8192 passes at A_MIN.
 A_MIN, A_MAX = 1e-3, 1e6
 
 # Largest ``rigidity-scan`` A_range count and ``verify-cd`` corpus size: a

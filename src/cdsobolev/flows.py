@@ -18,13 +18,13 @@ self-adjoint finite-volume form of L, so mass is conserved to roundoff.
 The scheme is the implicit midpoint rule at a fixed step: second order and
 free of the h^2 stability bound of explicit schemes.  The stiffness S and
 its stencil, factor and solve come from ``model_space``: S is tridiagonal,
-so each Newton iteration of a step is one tridiagonal solve (cyclic on the
-circle).  The default step dt = 1e-2 is set by the dissipation-identity
-check, whose residual is measured at every record to fourth order in the
-record spacing; see ``fast_diffusion_flow``.  The Otto Hessian of R_alpha,
-its quadratic-form evaluation, and the convexity relation that reproduces
-the sharp Sobolev inequality are exposed as direct evaluators; a transport
-path cross-checks the Hessian.  The check differentiates the semi-discrete
+so each Newton iteration of a step is one tridiagonal solve.  The default
+step dt = 1e-2 is set by the dissipation-identity check, whose residual is
+measured at every record to fourth order in the record spacing; see
+``fast_diffusion_flow``.  The Otto Hessian of R_alpha, its quadratic-form
+evaluation, and the convexity relation that reproduces the sharp Sobolev
+inequality are exposed as direct evaluators; a transport path cross-checks
+the Hessian.  The check differentiates the semi-discrete
 path twice at s = 0 in closed form, from the difference stencils alone, so
 it has no step size and no s^2 error; see ``hessian_second_derivative``.
 """
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
                      InvalidParameter, NoConvergence, NotAProbabilityDensity,
-                     PositivityLost, StepUnstable, UnsupportedKind)
+                     PositivityLost, StepUnstable)
 from .model_space import (ModelSpace, ScalarField, _apply_L,
                           _check_same_space, _diff1, _gamma_terms,
                           _quadrature, _with_ghosts, apply_stiffness,
@@ -74,8 +74,8 @@ class FiniteDimProblem:
             raise InvalidConfig(f"Q must be square, got shape {Q.shape}")
         if not np.allclose(Q, Q.T, atol=1e-12):
             raise InvalidConfig("Q must be symmetric")
-        if self.eps < 0.0 or self.rho <= 0.0:
-            raise InvalidConfig("need eps >= 0 and rho > 0")
+        if not (0.0 <= self.eps < math.inf and 0.0 < self.rho < math.inf):
+            raise InvalidConfig("need finite eps >= 0 and rho > 0")
         lam_min = float(np.linalg.eigvalsh(Q).min())
         if self.companion is None and lam_min < self.rho - 1e-12:
             raise InvalidConfig(
@@ -205,8 +205,8 @@ def fd_flow(problem: FiniteDimProblem, x0, T: float, dt: float) -> FlowTrace:
     divides T.  F, its Lyapunov test and the records are evaluated once per
     block of MAX_RECORDS steps: memory is O(MAX_RECORDS dim), and an
     unstable flow stops within one block."""
-    if dt <= 0.0 or T < dt:
-        raise InvalidParameter("need dt > 0 and T >= dt")
+    if not 0.0 < dt <= T < math.inf:
+        raise InvalidParameter("need dt > 0 and finite T >= dt")
     x = np.array(x0, dtype=float)
     if x.shape != (problem.dim,) or not np.isfinite(x).all():
         raise InvalidConfig(f"x0 must be finite, of shape ({problem.dim},)")
@@ -293,8 +293,8 @@ def _renyi_raw(space: ModelSpace, values: np.ndarray, alpha: float) -> float:
 def _otto_grad_norm_sq(space: ModelSpace, values: np.ndarray,
                        alpha: float) -> float:
     """int Gamma(Phi) mu dnu, Phi = mu^{alpha-1}/(alpha-1), on raw values."""
-    dphi = _diff1(space, _with_ghosts(
-        space, values ** (alpha - 1.0) / (alpha - 1.0)))
+    dphi = _diff1(space,
+                  _with_ghosts(values ** (alpha - 1.0) / (alpha - 1.0)))
     return float(np.dot(space.quad_weights, dphi * dphi * values))
 
 
@@ -359,13 +359,13 @@ def hessian_second_derivative(space: ModelSpace, mu: ScalarField,
     _check_density(space, mu)
     _check_same_space(space, phi)
     m = mu.values
-    p = _with_ghosts(space, phi.values)
-    dm, dp = _diff1(space, _with_ghosts(space, m)), _diff1(space, p)
+    p = _with_ghosts(phi.values)
+    dm, dp = _diff1(space, _with_ghosts(m)), _diff1(space, p)
     lp = _apply_L(space, p, dp)
     m1 = -(dm * dp + m * lp)
-    p1 = _with_ghosts(space, -0.5 * dp * dp)
+    p1 = _with_ghosts(-0.5 * dp * dp)
     dp1 = _diff1(space, p1)
-    m2 = -(_diff1(space, _with_ghosts(space, m1)) * dp + dm * dp1
+    m2 = -(_diff1(space, _with_ghosts(m1)) * dp + dm * dp1
            + m1 * lp + m * _apply_L(space, p1, dp1))
     integrand = ((alpha - 1.0) * m1 * m1 + m * m2) * m ** (alpha - 2.0)
     r2 = float(np.dot(space.quad_weights, integrand) / (alpha - 1.0))
@@ -394,7 +394,7 @@ def _midpoint_step(bands, w: np.ndarray, m: np.ndarray, alpha: float):
     |delta| <= NEWTON_RTOL max|y|, a floor that grows with N like the
     residual's roundoff.  Returns m_next = 2 y - m and the iteration count.
     """
-    main, off, corner = bands
+    main, off = bands
     y = m.copy()
     for it in range(1, NEWTON_MAX_ITER + 1):
         if float(y.min()) <= 0.0:
@@ -402,8 +402,8 @@ def _midpoint_step(bands, w: np.ndarray, m: np.ndarray, alpha: float):
                                  f"(min {y.min()})")
         d = y ** (alpha - 1.0)
         resid = w * (y - m) + apply_stiffness(bands, y * d) / alpha
-        delta = tridiagonal_solver(off * d[:-1], w + main * d, off * d[1:],
-                                   (corner * d[-1], corner * d[0]))(-resid)
+        delta = tridiagonal_solver(off * d[:-1], w + main * d,
+                                   off * d[1:])(-resid)
         y += delta
         if float(np.abs(delta).max()) <= NEWTON_RTOL * float(np.abs(y).max()):
             return 2.0 * y - m, it
@@ -437,10 +437,10 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
     if not (0.0 < alpha < 1.0):
         raise InvalidAlpha(f"fast diffusion needs 0 < alpha < 1, got {alpha}")
     _check_density(space, mu0)
-    if T <= 0.0:
-        raise InvalidParameter("T must be positive")
-    if dt <= 0.0:
-        raise InvalidParameter("dt must be positive")
+    if not 0.0 < T < math.inf:
+        raise InvalidParameter("T must be positive and finite")
+    if not 0.0 < dt < math.inf:
+        raise InvalidParameter("dt must be positive and finite")
 
     nsteps = max(1, math.ceil(T / dt - 1e-9))
     dt = T / nsteps
@@ -498,8 +498,6 @@ def convexity_relation_margin(space: ModelSpace, mu: ScalarField,
     With alpha = 1 - 1/n the bracket <grad R_alpha, grad(-R_beta)> reduces to
     int Gamma(Phi) mu^alpha; nonnegative on CD(rho, n)-valid spaces.
     """
-    if space.kind == "circle":
-        raise UnsupportedKind("the circle carries no positive CD bound")
     n = float(dim_param)
     alpha = 1.0 - 1.0 / n
     _check_alpha(alpha)
@@ -519,8 +517,6 @@ def entropy_inequality_margin(space: ModelSpace, mu: ScalarField) -> float:
     through the substitution f = mu^{(n-2)/(2n)}, which makes this margin
     exactly (2 n^2/(n-2)^2) times the Sobolev deficit of f.
     """
-    if space.kind == "circle" or space.n <= 2.0:
-        raise UnsupportedKind("needs a CD-positive space with n > 2")
     _check_density(space, mu)
     n = space.n
     alpha = 1.0 - 1.0 / n

@@ -39,8 +39,6 @@ class GammaReport:
 def cd_margin(space: ModelSpace, f: ScalarField) -> GammaReport:
     """Evaluate Gamma_2(f) - rho*Gamma(f) - (Lf)^2/n on every node, with the
     space's own curvature data rho and n."""
-    if space.kind == "circle":
-        raise UnsupportedKind("the circle carries no positive CD bound")
     _check_same_space(space, f)
     _, lf, gf, g2f = _gamma_terms(space, f.values)
     margin = g2f - space.rho * gf - lf ** 2 / space.n
@@ -51,7 +49,7 @@ def cd_margin(space: ModelSpace, f: ScalarField) -> GammaReport:
 
 
 def _radial_hessian_terms(space: ModelSpace, f: ScalarField):
-    p = _with_ghosts(space, f.values)
+    p = _with_ghosts(f.values)
     fp = _diff1(space, p)
     fpp = _diff2(space, p)
     cot = 1.0 / np.tan(space.grid)

@@ -1,21 +1,18 @@
 """Discretized 1-D weighted measure spaces and their differential operators.
 
-A model space is a cell-centered uniform grid on (0, pi) (or (0, 2*pi) for
-the circle) carrying a normalized weighted measure nu with density
-exp(-W)/Z.  Three kinds are supported:
+A model space is a cell-centered uniform grid on (0, pi) carrying a
+normalized weighted measure nu with density exp(-W)/Z, W(theta) =
+-(n-1) log sin(theta), and generator L f = f'' + (n-1) cot(theta) f'.  It
+satisfies CD(n-1, n).  Two kinds are supported:
 
-* ``sphere_radial`` -- the radial part of the round d-sphere,
-  W(theta) = -(d-1) log sin(theta), generator L f = f'' + (d-1) cot(theta) f';
-* ``jacobi``        -- the same weight with a real effective dimension n > 2,
-  realizing CD(n-1, n);
-* ``circle``        -- uniform weight, periodic closure, no positive
-  curvature bound (used by the flow modules only).
+* ``sphere_radial`` -- the radial part of the round d-sphere, n = d;
+* ``jacobi``        -- a real effective dimension n > 2.
 
 Derivatives are centered second-order finite differences with even-reflection
-closure at the poles (periodic closure on the circle).  They act on
-ghost-padded arrays of shape (..., N+2) whose end cells ``_fill_ghosts``
-sets, so a batch of rows is differenced in one call and a result can be
-written straight into the interior of the next padded operand.  The drift
+closure at the poles.  They act on ghost-padded arrays of shape (..., N+2)
+whose end cells ``_fill_ghosts`` sets, so a batch of rows is differenced in
+one call and a result can be written straight into the interior of the next
+padded operand.  The drift
 W' is evaluated analytically as -(n-1) cot(theta), once per space, never by
 differencing W.
 
@@ -39,7 +36,7 @@ import numpy as np
 from .errors import (InvalidConfig, InvalidParameter, SingularMatrix,
                      SpaceMismatch)
 
-KINDS = ("sphere_radial", "jacobi", "circle")
+KINDS = ("sphere_radial", "jacobi")
 
 MIN_RESOLUTION = 16
 MAX_RESOLUTION = 1 << 20
@@ -58,7 +55,7 @@ class ModelSpace:
     Z: float
     h: float
     resolution: int
-    drift: np.ndarray              # W'(theta), zero on the circle
+    drift: np.ndarray              # W'(theta)
 
     def __post_init__(self):
         for arr in (self.grid, self.quad_weights, self.drift):
@@ -107,11 +104,7 @@ class ScalarField:
 
 
 def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
-    """Construct a model space of the given kind.
-
-    rho is set to d-1 for sphere_radial, n-1 for jacobi; the circle carries
-    no positive curvature bound and gets rho = 0.
-    """
+    """Construct a model space of the given kind, with rho = n - 1."""
     if kind not in KINDS:
         raise InvalidConfig(f"unknown kind {kind!r}; expected one of {KINDS}")
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
@@ -122,31 +115,22 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
     if d < 1:
         raise InvalidConfig("d must be >= 1")
 
-    if kind == "circle":
-        h = 2.0 * np.pi / resolution
-        grid = (np.arange(resolution) + 0.5) * h
-        log_w = np.zeros(resolution)
-        drift = np.zeros(resolution)
-        rho = 0.0
-    else:
-        if n <= 2.0:
-            raise InvalidConfig(f"effective dimension n = {n} must exceed 2")
-        if kind == "sphere_radial" and n != d:
-            raise InvalidConfig("sphere_radial requires n = d")
-        if n < d:
-            raise InvalidConfig("n must be >= d")
-        h = np.pi / resolution
-        grid = (np.arange(resolution) + 0.5) * h
-        log_w = -(n - 1.0) * np.log(np.sin(grid))
-        drift = -(n - 1.0) / np.tan(grid)
-        rho = (d - 1.0) if kind == "sphere_radial" else (n - 1.0)
-        if rho <= 0.0:
-            raise InvalidConfig("sphere_radial requires d >= 2 (rho > 0)")
+    if not (math.isfinite(n) and n > 2.0):
+        raise InvalidConfig(
+            f"effective dimension n = {n} must be finite and exceed 2")
+    if kind == "sphere_radial" and n != d:
+        raise InvalidConfig("sphere_radial requires n = d")
+    if n < d:
+        raise InvalidConfig("n must be >= d")
 
+    h = np.pi / resolution
+    grid = (np.arange(resolution) + 0.5) * h
+    log_w = -(n - 1.0) * np.log(np.sin(grid))
+    drift = -(n - 1.0) / np.tan(grid)
     dens = np.exp(-log_w) * h
     Z = float(dens.sum())
     w = dens / Z
-    return ModelSpace(kind=kind, d=d, n=n, rho=rho, grid=grid,
+    return ModelSpace(kind=kind, d=d, n=n, rho=n - 1.0, grid=grid,
                       quad_weights=w, Z=Z, h=h, resolution=resolution,
                       drift=drift)
 
@@ -158,21 +142,18 @@ def _check_same_space(space: ModelSpace, *fields: ScalarField):
                 f"field lives on {f.space.key}, expected {space.key}")
 
 
-def _fill_ghosts(space: ModelSpace, a: np.ndarray) -> np.ndarray:
-    """Set the end cells of an (..., N+2) array along its last axis: even
-    reflection, periodic on the circle.  Returns ``a``."""
-    if space.kind == "circle":
-        a[..., 0], a[..., -1] = a[..., -2], a[..., 1]
-    else:
-        a[..., 0], a[..., -1] = a[..., 1], a[..., -2]
+def _fill_ghosts(a: np.ndarray) -> np.ndarray:
+    """Set the end cells of an (..., N+2) array along its last axis by even
+    reflection.  Returns ``a``."""
+    a[..., 0], a[..., -1] = a[..., 1], a[..., -2]
     return a
 
 
-def _with_ghosts(space: ModelSpace, v: np.ndarray) -> np.ndarray:
+def _with_ghosts(v: np.ndarray) -> np.ndarray:
     """A ghost-padded (..., N+2) copy of the values v."""
     a = np.empty(v.shape[:-1] + (v.shape[-1] + 2,))
     a[..., 1:-1] = v
-    return _fill_ghosts(space, a)
+    return _fill_ghosts(a)
 
 
 def _diff1(space: ModelSpace, p: np.ndarray, out=None) -> np.ndarray:
@@ -219,27 +200,27 @@ def _apply_L(space: ModelSpace, p: np.ndarray, dp=None,
 def _gamma_terms(space: ModelSpace, v: np.ndarray):
     """(v', L v, Gamma(v), Gamma_2(v)) of the values v, each evaluated once;
     Gamma_2(v) = L(Gamma(v))/2 - Gamma(v, Lv)."""
-    p = _with_ghosts(space, v)
+    p = _with_ghosts(v)
     dv = _diff1(space, p)
     lv, g = np.empty_like(p), np.empty_like(p)
     _apply_L(space, p, dv, out=lv[1:-1])
     np.multiply(dv, dv, out=g[1:-1])
-    g2 = 0.5 * _apply_L(space, _fill_ghosts(space, g)) \
-        - dv * _diff1(space, _fill_ghosts(space, lv))
+    g2 = 0.5 * _apply_L(space, _fill_ghosts(g)) \
+        - dv * _diff1(space, _fill_ghosts(lv))
     return dv, lv[1:-1], g[1:-1], g2
 
 
 def apply_L(space: ModelSpace, f: ScalarField) -> ScalarField:
     """Generator L f = f'' - W' f'."""
     _check_same_space(space, f)
-    return space.field(_apply_L(space, _with_ghosts(space, f.values)))
+    return space.field(_apply_L(space, _with_ghosts(f.values)))
 
 
 def gamma(space: ModelSpace, f: ScalarField, g: ScalarField) -> ScalarField:
     """Carre du champ Gamma(f, g) = f' g' pointwise."""
     _check_same_space(space, f, g)
-    df = _diff1(space, _with_ghosts(space, f.values))
-    dg = df if g is f else _diff1(space, _with_ghosts(space, g.values))
+    df = _diff1(space, _with_ghosts(f.values))
+    dg = df if g is f else _diff1(space, _with_ghosts(g.values))
     return space.field(df * dg)
 
 
@@ -261,82 +242,47 @@ def ibp_residual(space: ModelSpace, u: ScalarField, v: ScalarField) -> float:
     return max(abs(lu_v + g_uv), abs(lu_v - u_lv))
 
 
-def fv_stiffness(space: ModelSpace) -> tuple[np.ndarray, np.ndarray, float]:
-    """Bands (main, off, corner) of the finite-volume Dirichlet form S.
+def fv_stiffness(space: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (main, off) of the finite-volume Dirichlet form S.
 
-    S is symmetric tridiagonal with v^T S v ~ int Gamma(v) dnu, closed on
-    the circle by S[0, N-1] = S[N-1, 0] = corner (0 on the other kinds).
+    S is symmetric tridiagonal with v^T S v ~ int Gamma(v) dnu.
     Face-centered weights make it an oscillation-proof energy: positive
     semidefinite, with 1^T S = 0 exactly.
     """
     N = space.resolution
     h = space.h
-    if space.kind == "circle":
-        # face i sits between cells i-1 and i (cyclic), unit weight
-        c = 1.0 / (space.Z * h)
-        return np.full(N, 2.0 * c), np.full(N - 1, -c), -c
     # interior faces at theta = i*h, i = 1..N-1; pole faces carry zero weight
     c = np.sin(np.arange(1, N) * h) ** (space.n - 1.0) / (space.Z * h)
     main = np.zeros(N)
     main[:-1] += c
     main[1:] += c
-    return main, -c, 0.0
+    return main, -c
 
 
 def apply_stiffness(bands, v: np.ndarray) -> np.ndarray:
     """S v by the 3-point stencil.  Rows add lower, main, upper terms in
     that order; artifacts computed with S depend on it to the last bit."""
-    main, off, corner = bands
+    main, off = bands
     out = main * v
     out[1:] += off * v[:-1]
     out[:-1] += off * v[1:]
-    if corner:
-        out[0] += corner * v[-1]
-        out[-1] += corner * v[0]
     return out
 
 
-def tridiagonal_solver(lower, diag, upper, corners=(0.0, 0.0)):
+def tridiagonal_solver(lower, diag, upper):
     """Factor the tridiagonal T once (LAPACK gttrf); return b -> T^{-1} b.
 
     LAPACK is imported on the first call: ``scipy.linalg`` costs about 0.3 s.
-    b may be a vector or an N x k array.  ``corners`` = (T[0, N-1],
-    T[N-1, 0]) close T cyclically: T = B + u v^T with B tridiagonal,
-    u = (g, 0.., lo), v = (1, 0.., up/g), and Sherman-Morrison gives
-    T^{-1} b = x - (v.x / (1 + v.z)) z, x = B^{-1} b, z = B^{-1} u.
-    Raises ``SingularMatrix`` on a zero pivot or on 1 + v.z lost to
-    cancellation; ``InvalidParameter`` for N < 3, sizes scipy's gttrf rejects.
+    b may be a vector or an N x k array.  Raises ``SingularMatrix`` on a
+    zero pivot; ``InvalidParameter`` for N < 3, sizes scipy's gttrf rejects.
     """
     if len(diag) < 3:
         raise InvalidParameter(f"tridiagonal system of size {len(diag)} < 3")
     from scipy.linalg import lapack
-    up, lo = corners
-    diag = np.array(diag, dtype=float)
-    g = -diag[0] or 1.0  # B[0, 0] = 2 T[0, 0]: no cancellation
-    if up or lo:
-        diag[0] -= g
-        diag[-1] -= lo * up / g
     *factor, info = lapack.dgttrf(lower, diag, upper)
     if info != 0:
         raise SingularMatrix(f"tridiagonal factor: gttrf info = {info}")
-
-    def solve_b(b):
-        return lapack.dgttrs(*factor, b)[0]
-
-    if not (up or lo):
-        return solve_b
-    u = np.zeros(len(diag))
-    u[0], u[-1] = g, lo
-    z = solve_b(u)
-    vz = z[0] + up / g * z[-1]
-    if abs(1.0 + vz) <= np.finfo(float).eps * (1.0 + abs(vz)):
-        raise SingularMatrix("cyclic tridiagonal matrix is singular")
-
-    def solve(b):
-        x = solve_b(b)
-        return x - np.multiply.outer(z, (x[0] + up / g * x[-1]) / (1.0 + vz))
-
-    return solve
+    return lambda b: lapack.dgttrs(*factor, b)[0]
 
 
 def weighted_laplacian_fv(space: ModelSpace):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidExponent, InvalidParameter, UnsupportedKind
+from .errors import InvalidExponent, InvalidParameter
 from .model_space import (ModelSpace, ScalarField, _check_same_space,
                           _quadrature, gamma, integrate)
 
@@ -55,8 +55,6 @@ def grad_norm_sq(space: ModelSpace, v: ScalarField) -> float:
 
 def sobolev_deficit(space: ModelSpace, v: ScalarField, q: float) -> SobolevReport:
     """Both sides of the sharp inequality at exponent q and their gap."""
-    if space.rho <= 0.0:
-        raise UnsupportedKind("the circle carries no positive CD bound")
     qc = critical_exponent(space.n)
     if not (2.0 < q <= qc):
         raise InvalidExponent(f"q = {q} outside (2, {qc}]")

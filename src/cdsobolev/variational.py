@@ -133,8 +133,8 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     step is taken if it lowers beta.
     """
     opts = opts or MinimizeOptions()
-    if A <= 0.0:
-        raise InvalidParameter(f"A = {A} must be positive")
+    if not 0.0 < A < np.inf:
+        raise InvalidParameter(f"A = {A} must be positive and finite")
     _check_subcritical(space, q)
     _check_same_space(space, init)
     if np.abs(init.values).max() == 0.0:
@@ -145,8 +145,8 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     w = space.quad_weights
     bands = fv_stiffness(space)
     abs_bands = tuple(np.abs(band) for band in bands)
-    main, off, corner = ((2.0 * A) * band for band in bands)
-    precond = tridiagonal_solver(off, main + 2.0 * w, off, (corner, corner))
+    main, off = ((2.0 * A) * band for band in bands)
+    precond = tridiagonal_solver(off, main + 2.0 * w, off)
 
     def energy(v):
         return float(A * (v @ apply_stiffness(bands, v)) + np.dot(w, v * v))
@@ -172,13 +172,12 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
 
     # H is solved in the rows of W^{-1} H, which share the scale of -2A L:
     # on H itself gttrf swaps the tiny pole rows and loses the pole cells
-    lower, upper, corners = off / w[1:], off / w[:-1], (corner / w[0],
-                                                        corner / w[-1])
+    lower, upper = off / w[1:], off / w[:-1]
 
     def newton_step(v, r, cgrad, kappa):
         diag = main / w + 2.0 - kappa * q * (q - 1.0) * v ** (q - 2.0)
         try:
-            solve = tridiagonal_solver(lower, diag, upper, corners)
+            solve = tridiagonal_solver(lower, diag, upper)
         except SingularMatrix:
             return None, 0.0
         a, b = solve(np.column_stack([-r, cgrad]) / w[:, None]).T

@@ -59,13 +59,14 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     ("minimize", {"space": {"resolution": 1e20}}),   # rejected unallocated
     ("minimize", {"A": 1e300}),                      # A outside [A_MIN, A_MAX]
     ("rigidity-scan", {"A_list": [1e-300]}),
+    # the circle is no model space: an unknown kind
     ("rigidity-scan", {"space": {"kind": "circle", "d": 1, "n": 3.0,
-                                 "resolution": 64}}),  # no A* at rho = 0
+                                 "resolution": 64}}),
     ("critical-limit", {"space": {"kind": "circle", "d": 1, "n": 3.0,
                                   "resolution": 64}}),
     ("sobolev-deficit", {"space": {"kind": "circle", "d": 1, "n": 3.0,
                                    "resolution": 64},
-                         "v": {"kind": "trig_poly"}}),  # no deficit at rho = 0
+                         "v": {"kind": "trig_poly"}}),
     # fixed experiments: no grid to set, or one outside the bounds
     ("flow-fd --resolution 64", {}),
     ("extremal-sweep --resolution 64", {}),
@@ -83,6 +84,8 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     ("verify-cd", {"corpus_size": 10000000000000}),
     ("verify-cd", {"corpus_size": MAX_COUNT + 1}),
     ("rigidity-scan", {"f": {"kind": "constant"}}),  # the f family is gone
+    ("minimize", {"space": {"kind": "circle", "d": 1, "n": 3.0,
+                            "resolution": 64}}),  # an unknown kind
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)

@@ -53,14 +53,6 @@ def test_cd_margin_corpus_nonnegative():
             assert cd_margin(space, f).cd_margin_min >= -5e-3
 
 
-def test_circle_rejected():
-    space = build_space("circle", 1, 1.0, 64)
-    with pytest.raises(UnsupportedKind):
-        cd_margin(space, space.field_from_function(np.cos))
-    with pytest.raises(UnsupportedKind):
-        bochner_residual(space, space.field_from_function(np.cos))
-
-
 def test_bochner_residual_second_order():
     errs = {}
     for N in (256, 512):

@@ -21,23 +21,19 @@ def ones_field(space):
     return space.field(np.ones(space.resolution))
 
 
-def dense_tridiagonal(lower, diag, upper, corners=(0.0, 0.0)):
-    T = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-    T[0, -1] += corners[0]
-    T[-1, 0] += corners[1]
-    return T
+def dense_tridiagonal(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
 def dense_stiffness(space):
-    main, off, corner = fv_stiffness(space)
-    return dense_tridiagonal(off, main, off, (corner, corner))
+    main, off = fv_stiffness(space)
+    return dense_tridiagonal(off, main, off)
 
 
 @pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
                                       ("sphere_radial", 5, 5.0),
                                       ("jacobi", 2, 4.5),
-                                      ("jacobi", 2, 3.5),
-                                      ("circle", 1, 1.0)])
+                                      ("jacobi", 2, 3.5)])
 @pytest.mark.parametrize("N", [64, 256])
 def test_quadrature_exactness(kind, d, n, N):
     space = build_space(kind, d, n, N)
@@ -45,8 +41,9 @@ def test_quadrature_exactness(kind, d, n, N):
 
 
 def test_invalid_configs():
-    with pytest.raises(InvalidConfig):
-        build_space("torus", 3, 3.0, 128)
+    for kind in ("torus", "circle"):
+        with pytest.raises(InvalidConfig, match=f"unknown kind '{kind}'"):
+            build_space(kind, 3, 3.0, 128)
     with pytest.raises(InvalidConfig):
         build_space("sphere_radial", 3, 3.0, 8)       # below min resolution
     with pytest.raises(InvalidConfig):
@@ -55,6 +52,9 @@ def test_invalid_configs():
         build_space("jacobi", 2, 2.0, 128)            # n must exceed 2
     with pytest.raises(InvalidConfig):
         build_space("jacobi", 4, 3.0, 128)            # n >= d
+    for n in (np.nan, np.inf):                         # n must be finite
+        with pytest.raises(InvalidConfig):
+            build_space("jacobi", 2, n, 128)
 
 
 def test_field_immutability_and_space_mismatch():
@@ -68,8 +68,7 @@ def test_field_immutability_and_space_mismatch():
 
 
 BOUNDARY_SPACES = pytest.mark.parametrize(
-    "kind,d,n", [("sphere_radial", 3, 3.0), ("jacobi", 2, 4.5),
-                 ("circle", 1, 1.0)])
+    "kind,d,n", [("sphere_radial", 3, 3.0), ("jacobi", 2, 4.5)])
 BOUNDARY_SIZES = pytest.mark.parametrize("N", [16, 257, 4096])
 
 
@@ -136,7 +135,6 @@ def test_field_space_identity_and_gamma_of_one_field(kind, d, n, N, seed):
 def test_rho_assignment():
     assert build_space("sphere_radial", 4, 4.0, 64).rho == 3.0
     assert build_space("jacobi", 2, 4.5, 64).rho == 3.5
-    assert build_space("circle", 1, 1.0, 64).rho == 0.0
 
 
 @pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
@@ -194,7 +192,7 @@ def test_gamma2_refinement_second_order():
 
 
 @pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
-                                      ("jacobi", 2, 4.5), ("circle", 1, 1.0)])
+                                      ("jacobi", 2, 4.5)])
 @pytest.mark.parametrize("N", [128, 1024])
 def test_gamma2_matches_operator_composition(kind, d, n, N):
     space = build_space(kind, d, n, N)
@@ -208,24 +206,23 @@ def test_gamma2_matches_operator_composition(kind, d, n, N):
 
 
 @pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
-                                      ("jacobi", 2, 4.5), ("circle", 1, 1.0)])
+                                      ("jacobi", 2, 4.5)])
 @pytest.mark.parametrize("N", [16, 257, 4096])
 def test_padded_stencils_match_rows(kind, d, n, N):
     # a (2, 2, N+2) batch, ghost-filled once, differences to the same bits
-    # as each row padded on its own: even reflection, periodic on the circle
+    # as each row padded on its own, by even reflection
     space = build_space(kind, d, n, N)
     rows = np.random.default_rng(N).standard_normal((2, 2, N))
     batch = np.empty((2, 2, N + 2))
     batch[..., 1:-1] = rows
-    _fill_ghosts(space, batch)
+    _fill_ghosts(batch)
     d1, d2 = np.empty((2, 2, N)), np.empty((2, 2, N))
     assert _diff1(space, batch, out=d1) is d1
     assert _diff2(space, batch, out=d2) is d2
     h = space.h
     for idx in np.ndindex(2, 2):
         v = rows[idx]
-        ends = (v[-1], v[0]) if kind == "circle" else (v[0], v[-1])
-        p = np.concatenate(([ends[0]], v, [ends[1]]))
+        p = np.concatenate(([v[0]], v, [v[-1]]))
         assert np.array_equal(batch[idx], p)
         assert np.array_equal(d1[idx], (p[2:] - p[:-2]) / (2.0 * h))
         assert np.array_equal(d2[idx],
@@ -245,8 +242,7 @@ def test_moment_oracles():
 
 
 @pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
-                                      ("jacobi", 2, 4.5),
-                                      ("circle", 1, 1.0)])
+                                      ("jacobi", 2, 4.5)])
 def test_fv_stiffness_structure(kind, d, n):
     space = build_space(kind, d, n, 128)
     S = dense_stiffness(space)
@@ -265,7 +261,7 @@ def test_apply_stiffness_matches_csc_matvec_bitwise(kind, d, n, N):
     # the descent's roundoff-chaotic iteration counts depend on this order
     space = build_space(kind, d, n, N)
     bands = fv_stiffness(space)
-    main, off, _ = bands
+    main, off = bands
     S = sp.diags([off, main, off], [-1, 0, 1], format="csc")
     rng = np.random.default_rng(N)
     for scale in (1e-3, 1.0, 1e3):
@@ -273,31 +269,19 @@ def test_apply_stiffness_matches_csc_matvec_bitwise(kind, d, n, N):
         assert np.array_equal(apply_stiffness(bands, v), S @ v)
 
 
-def test_apply_stiffness_circle_matches_dense():
-    space = build_space("circle", 1, 1.0, 128)
-    S = dense_stiffness(space)
-    assert S[0, -1] != 0.0 and S[-1, 0] != 0.0
-    v = np.random.default_rng(3).standard_normal(128)
-    gap = apply_stiffness(fv_stiffness(space), v) - S @ v
-    assert np.abs(gap).max() <= 1e-13 * np.abs(S).max()
-
-
 def _solver_cases():
     rng = np.random.default_rng(7)
     N = 64
     lower, upper = rng.uniform(-1, 1, N - 1), rng.uniform(-1, 1, N - 1)
     dominant = 3.0 + rng.uniform(0, 1, N)
-    yield "nonsymmetric", (lower, dominant, upper, (0.0, 0.0))
-    yield "nonsymmetric cyclic", (lower, dominant, upper, (0.7, -0.4))
+    yield "nonsymmetric", (lower, dominant, upper)
     # the polish's H = 2A S + 2W - 2(q-1)W at a constant state: indefinite
-    for kind, d, n in (("sphere_radial", 3, 3.0), ("circle", 1, 3.0)):
-        space = build_space(kind, d, n, N)
-        main, off, corner = fv_stiffness(space)
-        A, q, w = 0.3, 5.0, space.quad_weights
-        diag = (2.0 * A) * main + (2.0 * w - 2.0 * (q - 1.0) * w)
-        scaled = (2.0 * A) * off
-        yield f"indefinite {kind}", (scaled, diag, scaled,
-                                     (2.0 * A * corner,) * 2)
+    space = build_space("sphere_radial", 3, 3.0, N)
+    main, off = fv_stiffness(space)
+    A, q, w = 0.3, 5.0, space.quad_weights
+    diag = (2.0 * A) * main + (2.0 * w - 2.0 * (q - 1.0) * w)
+    scaled = (2.0 * A) * off
+    yield "indefinite sphere_radial", (scaled, diag, scaled)
 
 
 @pytest.mark.parametrize("name,args", list(_solver_cases()))
@@ -322,18 +306,15 @@ def test_tridiagonal_solver_singular_raises():
     path[[0, -1]] = 1.0
     with pytest.raises(SingularMatrix):
         tridiagonal_solver(off, path, off)                 # zero pivot
-    with pytest.raises(SingularMatrix):                    # cyclic Laplacian
-        tridiagonal_solver(off, np.full(N, 2.0), off, (-1.0, -1.0))
 
 
-@pytest.mark.parametrize("corners", [(0.0, 0.0), (0.5, -0.25)])
-def test_tridiagonal_solver_rejects_fewer_than_three_unknowns(corners):
+def test_tridiagonal_solver_rejects_fewer_than_three_unknowns():
     for N in (0, 1, 2):
         with pytest.raises(InvalidParameter):
             tridiagonal_solver(np.ones(max(N - 1, 0)), np.full(N, 4.0),
-                               np.ones(max(N - 1, 0)), corners)
+                               np.ones(max(N - 1, 0)))
     # N = 3 is taken: the suite's scipy_linalg_import phase solves one
-    args = ([1.0, -0.5], [4.0, 3.0, 5.0], [0.5, 1.0], corners)
+    args = ([1.0, -0.5], [4.0, 3.0, 5.0], [0.5, 1.0])
     b = np.array([1.0, -2.0, 0.5])
     x = tridiagonal_solver(*args)(b)
     assert np.abs(dense_tridiagonal(*args) @ x - b).max() <= 1e-14
@@ -350,14 +331,6 @@ def test_fv_laplacian_matches_centered_operator():
     # weight is O(h^3)
     assert np.abs(gap[8:-8]).max() <= 1e-2
     assert np.sqrt(np.sum(space.quad_weights * gap ** 2)) <= 1e-2
-
-
-def test_circle_periodicity():
-    space = build_space("circle", 1, 1.0, 128)
-    f = space.field(np.sin(space.grid))
-    resid = apply_L(space, f).values + f.values
-    assert np.abs(resid).max() <= 1e-3
-    assert np.allclose(space.quad_weights, 1.0 / 128)
 
 
 def _cosine_density(space):
