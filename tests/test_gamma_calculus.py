@@ -6,7 +6,7 @@ import pytest
 from cdsobolev import (bochner_residual, build_space, cauchy_schwarz_margin,
                        cd_margin)
 from cdsobolev.acceptance import trig_poly_field
-from cdsobolev.errors import UnsupportedKind
+from cdsobolev.errors import InvalidConfig, UnsupportedKind
 
 
 def test_cd_equality_witness_sphere():
@@ -51,6 +51,13 @@ def test_cd_margin_corpus_nonnegative():
         for _ in range(25):
             f = trig_poly_field(space, rng, degree=2, amplitude=0.5)
             assert cd_margin(space, f).cd_margin_min >= -5e-3
+
+
+def test_circle_rejected():
+    # the circle (rho = 0) satisfies no CD(rho, n) with rho > 0: it is refused
+    # when the space is built, so no margin is ever computed on it
+    with pytest.raises(InvalidConfig, match="unknown kind 'circle'"):
+        build_space("circle", 1, 1.0, 64)
 
 
 def test_bochner_residual_second_order():
