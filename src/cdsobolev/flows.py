@@ -1,8 +1,10 @@
 """Entropy gradient flows: finite-dimensional ODEs and fast diffusion.
 
-Two layers share one trace format.  The finite-dimensional layer integrates
-x' = -grad F(x) for strictly convex entropies F and certifies the convexity
-inequality  G(x*) <= |grad F(x)|^2/(2 rho) + G(x)  under the condition
+Two layers share one trace format and one time grid (``_time_grid``), whose
+evenly spaced records give dE/dt to fourth order at every record.  The
+finite-dimensional layer integrates x' = -grad F(x) for strictly convex
+entropies F and certifies the convexity inequality
+G(x*) <= |grad F(x)|^2/(2 rho) + G(x)  under the condition
 grad F . Hess F grad F >= -rho grad F . grad G, on one point or a batch of
 points (one per row), evaluating grad F once per point.  Its RK4 flow
 evaluates F and the records once per block of steps, not once per step.
@@ -19,8 +21,7 @@ The scheme is the implicit midpoint rule at a fixed step: second order and
 free of the h^2 stability bound of explicit schemes.  The stiffness S and
 its stencil, factor and solve come from ``model_space``: S is tridiagonal,
 so each Newton iteration of a step is one tridiagonal solve.  The default
-step dt = 1e-2 is set by the dissipation-identity check, whose residual is
-measured at every record to fourth order in the record spacing; see
+step dt = 1e-2 is set by the dissipation-identity check; see
 ``fast_diffusion_flow``.  The Otto Hessian of R_alpha, its quadratic-form
 evaluation, and the convexity relation that reproduces the sharp Sobolev
 inequality are exposed as direct evaluators; a transport path cross-checks
@@ -159,21 +160,28 @@ _ONE_SIDED5 = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
 
 
 def _time_derivative(e: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """dE/dt at every record: fourth order on five or more uniformly spaced
-    records (the end records one-sided), else ``np.gradient`` (second
-    order, the ends too once there are three records).  Records are
-    non-uniform when a flow's step count is not a multiple of its record
-    interval."""
-    if len(t) < 2:
-        return np.zeros_like(t)
+    """dE/dt at every record, fourth order: the centered stencil inside and
+    the one-sided ones at the first and last two records.  The records are
+    evenly spaced, at least five of them (see ``_time_grid``)."""
     h = (t[-1] - t[0]) / (len(t) - 1)
-    if len(t) < 5 or np.abs(np.diff(t) - h).max() > 1e-9 * h:
-        return np.gradient(e, t, edge_order=min(len(t) - 1, 2))
     de = np.empty_like(e)
     de[2:-2] = np.convolve(e, _CENTERED5[::-1], "valid")
     de[:2] = _ONE_SIDED5 @ e[:5]
     de[-2:] = -(_ONE_SIDED5 @ e[:-6:-1])[::-1]
     return de / (12.0 * h)
+
+
+def _time_grid(T: float, dt: float) -> tuple[int, float, int]:
+    """(nsteps, step, every) of a flow to T: enough steps for the five
+    records of the stencils, each at most dt and dividing T, and a record
+    every ``every`` steps, at most MAX_RECORDS after t = 0.  nsteps is a
+    multiple of ``every``, so the records are evenly spaced."""
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
+        raise InvalidParameter("T and dt must be positive and finite")
+    nsteps = max(len(_CENTERED5) - 1, math.ceil(T / dt - 1e-9))
+    every = math.ceil(nsteps / MAX_RECORDS)
+    nsteps = every * math.ceil(nsteps / every)
+    return nsteps, T / nsteps, every
 
 
 def _make_trace(times, ent, gn, comp, dist, **counters) -> FlowTrace:
@@ -201,18 +209,14 @@ def _rk4_step(rhs, y, dt):
 
 
 def fd_flow(problem: FiniteDimProblem, x0, T: float, dt: float) -> FlowTrace:
-    """RK4 integration of x' = -grad F(x) to T, at a step of at most dt that
-    divides T.  F, its Lyapunov test and the records are evaluated once per
-    block of MAX_RECORDS steps: memory is O(MAX_RECORDS dim), and an
-    unstable flow stops within one block."""
-    if not 0.0 < dt <= T < math.inf:
-        raise InvalidParameter("need dt > 0 and finite T >= dt")
+    """RK4 integration of x' = -grad F(x) to T on the grid of ``_time_grid``
+    (steps of at most dt).  F, its Lyapunov test and the records are
+    evaluated once per block of MAX_RECORDS steps: memory is
+    O(MAX_RECORDS dim), and an unstable flow stops within one block."""
+    nsteps, dt, every = _time_grid(T, dt)
     x = np.array(x0, dtype=float)
     if x.shape != (problem.dim,) or not np.isfinite(x).all():
         raise InvalidConfig(f"x0 must be finite, of shape ({problem.dim},)")
-    nsteps = math.ceil(T / dt - 1e-9)
-    dt = T / nsteps
-    every = max(1, math.ceil(nsteps / MAX_RECORDS))
     block = np.empty((min(nsteps, MAX_RECORDS) + 1, problem.dim))
     records = []
     for k0 in range(0, nsteps, MAX_RECORDS):
@@ -228,7 +232,7 @@ def fd_flow(problem: FiniteDimProblem, x0, T: float, dt: float) -> FlowTrace:
             rise = f"increased from {f[i - 1]} to" if np.isfinite(f[i]) else "="
             raise StepUnstable(f"F {rise} {f[i]} at step {k0 + i}")
         k = np.arange(k0 + (k0 > 0), k0 + n + 1)
-        k = k[(k % every == 0) | (k == nsteps)]
+        k = k[k % every == 0]
         rows, fk = block[k - k0], f[k - k0]
         records.append((k * dt, fk, np.sum(problem.grad_F(rows) ** 2, axis=-1),
                         fk if problem.companion is None else problem.G(rows),
@@ -418,36 +422,27 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
 
     In finite-volume form the flow is w * mu' = -(1/alpha) S mu^alpha with
     the tridiagonal stiffness S of ``fv_stiffness`` and w the quadrature
-    weights, so 1^T S = 0 conserves mass to roundoff.  The step is fixed,
-    at most ``dt`` and dividing T evenly; the implicit rule has no CFL
-    bound, so the cost per unit time does not grow like N^2.  Each step
-    solves for its midpoint by Newton's method with one tridiagonal solve
-    per iteration (see ``_midpoint_step``).  The default dt = 1e-2 is set by
-    the dissipation gate of ``check_fast_diffusion_flow``: the residual
+    weights, so 1^T S = 0 conserves mass to roundoff.  The steps are those
+    of ``_time_grid``, at most ``dt``; the implicit rule has no CFL bound,
+    so the cost per unit time does not grow like N^2.  Each step solves for
+    its midpoint by Newton's method with one tridiagonal solve per
+    iteration (see ``_midpoint_step``).  The default dt = 1e-2 is set by the
+    dissipation gate of ``check_fast_diffusion_flow``: the residual
     |dR/dt + |grad R|^2| is measured at every record by fourth-order
-    differences over the record spacing, which is dt while T/dt <=
-    MAX_RECORDS.  From the cosine start at N = 256 its worst relative value
-    is 5.8e-5, 1.37e-4 and 4.98e-4 at dt = 5e-3, 1e-2 and 2e-2 against the
-    1e-3 gate; 1e-2 is the largest that keeps the residual under a third
-    of the gate.  The flow stops at T or once |grad R_alpha|^2 falls below
-    GRAD_STOP at a record; it raises ``PositivityLost`` once min mu <=
-    POSITIVITY_FLOOR.
+    differences over the record spacing.  From the cosine start at N = 256
+    its worst relative value is 5.8e-5, 1.37e-4 and 4.98e-4 at dt = 5e-3,
+    1e-2 and 2e-2 against the 1e-3 gate; 1e-2 is the largest that keeps the
+    residual under a third of the gate.  The flow stops at T or once
+    |grad R_alpha|^2 falls below GRAD_STOP at one of the records after the
+    first five; it raises ``PositivityLost`` once min mu <= POSITIVITY_FLOOR.
     """
-    _check_alpha(alpha)
     if not (0.0 < alpha < 1.0):
         raise InvalidAlpha(f"fast diffusion needs 0 < alpha < 1, got {alpha}")
     _check_density(space, mu0)
-    if not 0.0 < T < math.inf:
-        raise InvalidParameter("T must be positive and finite")
-    if not 0.0 < dt < math.inf:
-        raise InvalidParameter("dt must be positive and finite")
-
-    nsteps = max(1, math.ceil(T / dt - 1e-9))
-    dt = T / nsteps
+    nsteps, dt, every = _time_grid(T, dt)
     bands = tuple(0.5 * dt * band for band in fv_stiffness(space))
     w = space.quad_weights
     beta = 2.0 * alpha - 1.0
-    every = max(1, math.ceil(nsteps / MAX_RECORDS))
 
     times, ent, gn, comp, dist, mass = [], [], [], [], [], []
 
@@ -472,13 +467,13 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
         t = k * dt
         if float(m.min()) <= POSITIVITY_FLOOR:
             raise PositivityLost(f"min mu = {m.min()} at t = {t}")
-        if k % every == 0 or k == nsteps:
+        if k % every == 0:
             ent_prev = ent[-1]
             record(t, m)
             if ent[-1] > ent_prev + 1e-10 * (1.0 + abs(ent_prev)):
                 raise StepUnstable(
                     f"R_alpha increased from {ent_prev} to {ent[-1]} at t={t}")
-            if gn[-1] < GRAD_STOP:
+            if gn[-1] < GRAD_STOP and len(times) >= len(_CENTERED5):
                 stop_reason = "grad_stop"
                 break
 

@@ -110,10 +110,9 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise InvalidConfig(f"resolution {resolution} outside "
                             f"[{MIN_RESOLUTION}, {MAX_RESOLUTION}]")
-    d = int(d)
-    n = float(n)
-    if d < 1:
-        raise InvalidConfig("d must be >= 1")
+    if not (math.isfinite(d) and d >= 1):
+        raise InvalidConfig(f"d = {d} must be finite and >= 1")
+    d, n = int(d), float(n)
 
     if not (math.isfinite(n) and n > 2.0):
         raise InvalidConfig(
@@ -129,7 +128,11 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
     drift = -(n - 1.0) / np.tan(grid)
     dens = np.exp(-log_w) * h
     Z = float(dens.sum())
-    w = dens / Z
+    w = dens / Z if Z > 0.0 else dens
+    if not w.min() > 0.0:  # subnormal weights are kept: they still solve
+        raise InvalidConfig(
+            f"n = {n} at resolution {resolution}: the measure sin^(n-1) of "
+            f"{np.count_nonzero(w == 0.0)} cells underflows to 0")
     return ModelSpace(kind=kind, d=d, n=n, rho=n - 1.0, grid=grid,
                       quad_weights=w, Z=Z, h=h, resolution=resolution,
                       drift=drift)

@@ -86,6 +86,13 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     ("rigidity-scan", {"f": {"kind": "constant"}}),  # the f family is gone
     ("minimize", {"space": {"kind": "circle", "d": 1, "n": 3.0,
                             "resolution": 64}}),  # an unknown kind
+    # measures that underflow: everywhere, or at the two pole cells
+    ("verify-cd", {"space": {"kind": "jacobi", "d": 2, "n": 1e6,
+                             "resolution": 16}}),
+    ("minimize", {"space": {"kind": "jacobi", "d": 2, "n": 120,
+                            "resolution": 2048}, "q": 2.02}),
+    ("critical-limit", {"space": {"kind": "jacobi", "d": 2, "n": 120,
+                                  "resolution": 2048}, "q_list": [2.02]}),
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -95,6 +102,15 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert os.listdir(out) == []               # rejected before any artifact
+
+
+def test_subnormal_weights_still_minimize(tmp_path):
+    # the pole weights of n = 101 at N = 2048 are subnormal, not 0
+    cfg = write_config(tmp_path, {"space": {"kind": "jacobi", "d": 2,
+                                            "n": 101, "resolution": 2048},
+                                  "q": 2.02})
+    assert main(["minimize", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 # how the detail of each command's first check ends: with the failed gates

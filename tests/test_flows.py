@@ -92,18 +92,18 @@ def test_fd_flow_companion_column():
 
 
 def test_step_unstable_detected():
+    # lambda dt = 4 is outside RK4's stability interval
     prob = FiniteDimProblem(Q=2.0 * np.eye(1), rho=2.0)
-    with pytest.raises(StepUnstable):
-        fd_flow(prob, np.array([1.0]), T=4.0, dt=2.0)
+    with pytest.raises(StepUnstable,
+                       match="F increased from 1.0 to 25.0 at step 1"):
+        fd_flow(prob, np.array([1.0]), T=8.0, dt=2.0)
 
 
 def _reference_fd_flow(problem, x0, T, dt):
     """The per-step loop that ``fd_flow`` batches: F after every step, and
     grad F, G and the distance to x* one recorded point at a time."""
     x = np.array(x0, dtype=float)
-    nsteps = math.ceil(T / dt - 1e-9)
-    dt = T / nsteps
-    every = max(1, math.ceil(nsteps / flows.MAX_RECORDS))
+    nsteps, dt, every = flows._time_grid(T, dt)
     rhs = lambda y: -problem.grad_F(y)
     times, ent, gn, comp, dist = [], [], [], [], []
 
@@ -123,14 +123,15 @@ def _reference_fd_flow(problem, x0, T, dt):
             raise StepUnstable(
                 f"F increased from {f_prev} to {f_now} at step {k}")
         f_prev = f_now
-        if k % every == 0 or k == nsteps:
+        if k % every == 0:
             record(k * dt, x, f_now)
     return flows._make_trace(times, ent, gn, comp, dist, steps=nsteps)
 
 
 @pytest.mark.parametrize("problem, x0, T, dt", [
-    # nsteps below, equal to and above MAX_RECORDS, and 12434 steps, which
-    # is not a multiple of the block
+    # nsteps below, equal to and above MAX_RECORDS, and T/dt = 12434 steps,
+    # which the grid rounds up to 12441, a multiple of its record interval
+    # 13 but not of the block
     (FiniteDimProblem(Q=np.diag([0.5, 2.0, 3.0]), rho=0.5),
      [1.0, -0.5, 0.25], 2.0, 0.005),
     (FiniteDimProblem(Q=0.5 * np.eye(5), rho=0.5),
@@ -168,13 +169,37 @@ def test_fd_flow_dense_q_matches_reference_to_roundoff():
                            rtol=1e-14, atol=0.0), name
 
 
-@pytest.mark.parametrize("dt, steps", [(0.3, 4), (0.4, 3)])
+# the ids give dt and ceil(T/dt); the grid takes at least four steps
+@pytest.mark.parametrize("dt, steps", [(0.3, 4), (0.4, 4)],
+                         ids=["0.3-4", "0.4-3"])
 def test_fd_flow_ends_at_T(dt, steps):
     prob = FiniteDimProblem(Q=np.eye(2), rho=1.0)
     trace = fd_flow(prob, np.ones(2), T=1.0, dt=dt)
     assert trace.times[-1] == 1.0
     assert trace.steps == steps
     assert np.allclose(np.diff(trace.times), 1.0 / steps, rtol=1e-12)
+
+
+def test_time_grid_properties():
+    # log-uniform (T, dt), dt > T among them, and T/dt just above multiples
+    # of MAX_RECORDS, where the record interval steps up
+    rng = np.random.default_rng(11)
+    cases = [tuple(c) for c in 10.0 ** rng.uniform(-4.0, 4.0, (500, 2))]
+    cases += [(1.0, 2.0), (1e-3, 1e3), (1.0, 1.0), (0.3, 0.1), (1.1, 0.1)]
+    M = flows.MAX_RECORDS
+    cases += [((k * M + j) * 1e-3, 1e-3) for k in (1, 2, 7, 13, 40)
+              for j in (1, 2, -1)]
+    for T, dt in cases:
+        nsteps, step, every = flows._time_grid(T, dt)
+        assert nsteps >= 4, (T, dt)
+        assert nsteps % every == 0, (T, dt)
+        assert nsteps // every <= M, (T, dt)
+        assert step == T / nsteps
+        # at most dt, up to the 1e-9 slack that keeps 1.1 / 0.1 =
+        # 11.000000000000002 at 11 steps
+        assert T / nsteps <= dt * (1.0 + 1e-9), (T, dt)
+        # the rounding up to a multiple of every adds less than one record
+        assert nsteps < max(4, math.ceil(T / dt)) + every, (T, dt)
 
 
 @pytest.mark.parametrize("x0, message", [
@@ -248,32 +273,16 @@ def test_dissipation_residual_is_fourth_order():
         assert coarse / fine >= 12.0
 
 
-@pytest.mark.parametrize("records", [2, 4])
-def test_dissipation_residual_of_few_records(records):
-    t = np.linspace(0.0, 1.5, records)
-    trace = _exp_trace(t)
-    # second order, the end records too, once there are three records
-    assert np.array_equal(trace.dissipation_residual,
-                          np.abs(np.gradient(trace.entropy, t,
-                                             edge_order=min(records - 1, 2))
-                                 + trace.grad_norm_sq))
-
-
 def test_dissipation_residual_of_a_non_uniform_tail():
-    # 2002 steps recorded every 3rd: the last record is one step after the
-    # one before it
+    # T/dt = 2002 steps is not a multiple of the record interval 3; the grid
+    # rounds the flow up to 2004 steps, so the last record is not one step
+    # after the one before it and every residual is fourth order
     prob = FiniteDimProblem(Q=np.eye(2), rho=1.0)
     trace = fd_flow(prob, np.ones(2), T=2.002, dt=0.001)
-    gaps = np.diff(trace.times)
-    assert trace.steps == 2002 and gaps[-1] < 0.5 * gaps[0]
-    resid = trace.dissipation_residual
-    assert np.array_equal(resid, np.abs(np.gradient(
-        trace.entropy, trace.times, edge_order=2) + trace.grad_norm_sq))
-    # second order at every record, the ends too: h^2 |E'''| / (3 |E'|)
-    # = 1.2e-5 at the first one, h = 3e-3 and E''' = -4 E' (first order
-    # would leave h |E''| / (2 |E'|) = 3e-3 there)
-    assert np.isfinite(resid).all()
-    assert (resid / trace.grad_norm_sq).max() <= 2e-5
+    assert trace.steps == 2004 and len(trace.times) == 669
+    assert np.allclose(np.diff(trace.times), 2.002 / 668, rtol=1e-9, atol=0.0)
+    assert trace.times[-1] == 2.002
+    assert (trace.dissipation_residual / trace.grad_norm_sq).max() <= 1e-9
 
 
 def test_finite_dim_step_follows_the_error_model(tmp_path):
@@ -506,6 +515,9 @@ def test_fast_diffusion_equilibrium_start(sphere):
                                 2.0 / 3.0, T=1.0)
     assert trace.grad_norm_sq[-1] <= 1e-12
     assert abs(trace.entropy[-1] + 4.5) <= 1e-14
+    # the gradient is below GRAD_STOP from the start; the flow stops once
+    # it holds the five records of the stencils
+    assert trace.stop_reason == "grad_stop" and len(trace.times) == 5
 
 
 # a non-finite parameter fails no comparison with its bound; unchecked it
@@ -535,6 +547,27 @@ def test_non_finite_parameters_raise_typed_errors(entry, key, bad, sphere):
     error, _, call = NON_FINITE_ENTRIES[entry]
     with pytest.raises(error, match="A = " if key == "A" else None):
         call(sphere, **{key: bad})
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("key", ["T", "dt"])
+def test_both_flows_reject_a_bad_time_grid_alike(key, bad, sphere):
+    messages = set()
+    for entry in ("fd_flow", "fast_diffusion_flow"):
+        with pytest.raises(InvalidParameter) as info:
+            NON_FINITE_ENTRIES[entry][2](sphere, **{key: bad})
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
+
+
+def test_both_flows_accept_dt_above_T(sphere):
+    fd = fd_flow(FiniteDimProblem(Q=np.eye(2), rho=1.0), [1.0, 1.0],
+                 T=1.0, dt=2.0)
+    mu = normalized(sphere, 1.0 + 0.5 * np.cos(sphere.grid))
+    fast = fast_diffusion_flow(sphere, mu, 2.0 / 3.0, T=0.01, dt=1.0)
+    for trace, T in ((fd, 1.0), (fast, 0.01)):
+        assert trace.steps == 4 and len(trace.times) == 5
+        assert trace.times[-1] == T
 
 
 def test_fast_diffusion_validation(sphere):

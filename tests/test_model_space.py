@@ -1,5 +1,7 @@
 """Grid, measure and operator tests for the 1-D model spaces."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -55,6 +57,25 @@ def test_invalid_configs():
     for n in (np.nan, np.inf):                         # n must be finite
         with pytest.raises(InvalidConfig):
             build_space("jacobi", 2, n, 128)
+    for d in (np.nan, np.inf, -np.inf):                # so must d
+        with pytest.raises(InvalidConfig, match="must be finite"):
+            build_space("jacobi", d, 4.5, 128)
+
+
+@pytest.mark.parametrize("n, N, cells", [(1e6, 16, 16), (120.0, 2048, 2)])
+def test_underflowing_measure_is_rejected(n, N, cells):
+    # sin^(n-1) underflows to 0 everywhere (Z = 0, so the weights would be
+    # 0/0) or at the two pole cells (a singular stiffness in the solver)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfig,
+                           match=f"of {cells} cells underflows"):
+            build_space("jacobi", 2, n, N)
+
+
+def test_subnormal_weights_are_kept():
+    w = build_space("jacobi", 2, 101.0, 2048).quad_weights
+    assert 0.0 < w.min() < np.finfo(float).tiny
 
 
 def test_field_immutability_and_space_mismatch():

@@ -261,6 +261,22 @@ def test_fd_flow_steps_without_evaluating():
     assert [ast.unparse(call.func) for call in calls] == ["_rk4_step"]
 
 
+def test_flows_have_one_time_grid_and_one_derivative_rule():
+    # both flows take their steps from _time_grid, whose evenly spaced
+    # records the five-point stencils need; a second grid, or a fallback
+    # derivative for uneven records, would let the two drift apart again
+    tree = _modules()["flows"]
+    assert not any(isinstance(node, ast.Attribute)
+                   and node.attr == "gradient" for node in ast.walk(tree))
+    for name in ("fd_flow", "fast_diffusion_flow"):
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        callees = [ast.unparse(node.func) for node in ast.walk(body)
+                   if isinstance(node, ast.Call)]
+        assert "_time_grid" in callees, name
+        assert "math.ceil" not in callees, name
+
+
 # public library functions and classes that no src/ module uses, each with
 # why it stays; the set can only shrink
 NO_SRC_CALLER = {
