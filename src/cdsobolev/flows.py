@@ -43,7 +43,7 @@ from .errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
 from .model_space import (ModelSpace, ScalarField, _apply_L,
                           _check_same_space, _diff1, _gamma_terms,
                           _quadrature, _with_ghosts, apply_stiffness,
-                          fv_stiffness, integrate, tridiagonal_solver)
+                          fv_stiffness, integrate, tridiagonal_solve)
 from .sobolev import grad_norm_sq
 
 MASS_TOL = 1e-8
@@ -392,9 +392,9 @@ def _midpoint_step(bands, w: np.ndarray, m: np.ndarray, alpha: float):
     """One implicit-midpoint step of w * m' = -(1/alpha) S m^alpha.
 
     ``bands`` are those of (dt/2) S.  Newton's method solves w (y - m) +
-    (dt/(2 alpha)) S y^alpha = 0 for the midpoint y, one
-    ``tridiagonal_solver`` call on the Jacobian w + (dt/2) S diag(y^(alpha-1))
-    per iteration; 1^T S = 0 keeps w . y = w . m to roundoff.  It stops once
+    (dt/(2 alpha)) S y^alpha = 0 for the midpoint y, one LAPACK gtsv call
+    (``tridiagonal_solve``) on the Jacobian w + (dt/2) S diag(y^(alpha-1)) per
+    iteration; 1^T S = 0 keeps w . y = w . m to roundoff.  It stops once
     |delta| <= NEWTON_RTOL max|y|, a floor that grows with N like the
     residual's roundoff.  Returns m_next = 2 y - m and the iteration count.
     """
@@ -406,8 +406,8 @@ def _midpoint_step(bands, w: np.ndarray, m: np.ndarray, alpha: float):
                                  f"(min {y.min()})")
         d = y ** (alpha - 1.0)
         resid = w * (y - m) + apply_stiffness(bands, y * d) / alpha
-        delta = tridiagonal_solver(off * d[:-1], w + main * d,
-                                   off * d[1:])(-resid)
+        delta = tridiagonal_solve(off * d[:-1], w + main * d, off * d[1:],
+                                  -resid)
         y += delta
         if float(np.abs(delta).max()) <= NEWTON_RTOL * float(np.abs(y).max()):
             return 2.0 * y - m, it

@@ -21,9 +21,9 @@ one owned, read-only float copy; only a scalar (0-d) is broadcast, any other
 shape than the grid's raises ``SpaceMismatch``, a non-finite ``InvalidConfig``.
 
 The finite-volume stiffness S lives here only: its bands, its stencil and
-one tridiagonal factor/solve (``fv_stiffness``, ``apply_stiffness``,
-``tridiagonal_solver``).  LAPACK loads on the first solve, not at import:
-``scipy.linalg`` takes about 0.3 s to import, and most checks never solve.
+one tridiagonal solve, a single LAPACK gtsv call (``fv_stiffness``,
+``apply_stiffness``, ``tridiagonal_solve``).  LAPACK loads on the first
+solve: ``scipy.linalg`` takes about 0.3 s to import, and most never solve.
 """
 
 from __future__ import annotations
@@ -272,20 +272,23 @@ def apply_stiffness(bands, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def tridiagonal_solver(lower, diag, upper):
-    """Factor the tridiagonal T once (LAPACK gttrf); return b -> T^{-1} b.
+def tridiagonal_solve(lower, diag, upper, b) -> np.ndarray:
+    """T^{-1} b for the tridiagonal T, in one LAPACK gtsv call.
 
     LAPACK is imported on the first call: ``scipy.linalg`` costs about 0.3 s.
     b may be a vector or an N x k array.  Raises ``SingularMatrix`` on a
-    zero pivot; ``InvalidParameter`` for N < 3, sizes scipy's gttrf rejects.
+    zero pivot; ``InvalidParameter`` for N < 3 or lengths that do not fit.
     """
-    if len(diag) < 3:
-        raise InvalidParameter(f"tridiagonal system of size {len(diag)} < 3")
+    if not (np.ndim(b) in (1, 2)
+            and 3 <= len(diag) == len(lower) + 1 == len(upper) + 1 == len(b)):
+        raise InvalidParameter(
+            f"tridiagonal system of size N = {len(diag)} (N >= 3): bands of "
+            f"{len(lower)} and {len(upper)} (N - 1), b of shape {np.shape(b)}")
     from scipy.linalg import lapack
-    *factor, info = lapack.dgttrf(lower, diag, upper)
+    *_, x, info = lapack.dgtsv(lower, diag, upper, b)
     if info != 0:
-        raise SingularMatrix(f"tridiagonal factor: gttrf info = {info}")
-    return lambda b: lapack.dgttrs(*factor, b)[0]
+        raise SingularMatrix(f"tridiagonal solve: gtsv info = {info}")
+    return x
 
 
 def weighted_laplacian_fv(space: ModelSpace):

@@ -37,7 +37,7 @@ from .errors import (InvalidConfig, InvalidExponent, InvalidParameter,
                      NoConvergence, NonPositiveField, SingularMatrix)
 from .model_space import (ModelSpace, ScalarField, _check_same_space,
                           _gamma_terms, _quadrature, apply_L, apply_stiffness,
-                          fv_stiffness, gamma, tridiagonal_solver)
+                          fv_stiffness, gamma, tridiagonal_solve)
 from .sobolev import a_star, critical_exponent, grad_norm_sq
 
 
@@ -63,6 +63,7 @@ class MinimizerReport:
     converged: bool
     backward_error: float
     newton_steps: int
+    backtracks: int             # Armijo halvings, summed over iterations
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,10 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     when r.dv < 0 < dv.H dv, else by -M^{-1} r, M = 2A S + 2W, which keeps
     it off saddles such as the constant below the bifurcation.  An Armijo
     search on the energy of the projected iterate (|v|, renormalized)
-    globalizes both; where the energy resolves no decrease the whole Newton
-    step is taken if it lowers beta.
+    globalizes both.  The energy resolves no decrease where none is found
+    down to t = 1e-8, or where the predicted one, |r.dv|/2, is at most the
+    error bound eps (A v.|S|v + w.v^2) of its sums and no search runs; there
+    the whole Newton step is taken if it lowers beta.
     """
     opts = opts or MinimizeOptions()
     if not 0.0 < A < np.inf:
@@ -142,80 +145,84 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     if opts.max_iter < 1:
         raise InvalidParameter(f"max_iter = {opts.max_iter} must be >= 1")
 
-    w = space.quad_weights
+    w, w2 = space.quad_weights, 2.0 * space.quad_weights
     bands = fv_stiffness(space)
     abs_bands = tuple(np.abs(band) for band in bands)
     main, off = ((2.0 * A) * band for band in bands)
-    precond = tridiagonal_solver(off, main + 2.0 * w, off)
+    pdiag = main + w2  # of the preconditioner M
 
-    def energy(v):
-        return float(A * (v @ apply_stiffness(bands, v)) + np.dot(w, v * v))
+    def point(x):
+        """The projected iterate v = |x| / ||x||_q, its energy and S v."""
+        v = np.abs(x)
+        v = v / np.dot(w, v ** q) ** (1.0 / q)
+        sv = apply_stiffness(bands, v)
+        return v, float(A * (v @ sv) + np.dot(w, v * v)), sv
 
-    def project(v):
-        v = np.abs(v)
-        return v / np.dot(w, v ** q) ** (1.0 / q)
-
-    def stationarity(v):
-        """(residual, constraint gradient, kappa, backward error) at v >= 0."""
-        grad = 2.0 * (A * apply_stiffness(bands, v) + w * v)
+    def stationarity(v, sv):
+        """(r, grad C, kappa, energy roundoff floor, beta) at v >= 0."""
+        grad = 2.0 * (A * sv + w * v)
         cgrad = q * w * v ** (q - 1.0)
         kappa = float(np.dot(grad, cgrad) / np.dot(cgrad, cgrad))
         r = grad - kappa * cgrad
-        scale = (2.0 * A) * apply_stiffness(abs_bands, v) + 2.0 * w * v \
-            + abs(kappa) * cgrad
+        abs_sv = apply_stiffness(abs_bands, v)
+        scale = (2.0 * A) * abs_sv + w2 * v + abs(kappa) * cgrad
+        floor = np.finfo(float).eps * (A * (v @ abs_sv) + np.dot(w, v * v))
         # a cell whose residual underflows (0 included, where v vanishes
         # around it) is exact: there r_i and its scale are roundoff alone
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.abs(r) / scale
-        return r, cgrad, kappa, float(np.max(
+        return r, cgrad, kappa, floor, float(np.max(
             ratio, initial=0.0, where=np.abs(r) >= np.finfo(float).tiny))
 
     # H is solved in the rows of W^{-1} H, which share the scale of -2A L:
-    # on H itself gttrf swaps the tiny pole rows and loses the pole cells
-    lower, upper = off / w[1:], off / w[:-1]
+    # on H itself pivoting swaps the tiny pole rows and loses the pole cells
+    lower, upper, diag0 = off / w[1:], off / w[:-1], main / w + 2.0
 
     def newton_step(v, r, cgrad, kappa):
-        diag = main / w + 2.0 - kappa * q * (q - 1.0) * v ** (q - 2.0)
-        try:
-            solve = tridiagonal_solver(lower, diag, upper)
+        diag = diag0 - kappa * q * (q - 1.0) * v ** (q - 2.0)
+        try:  # both right-hand sides as the columns of one Fortran array
+            a, b = tridiagonal_solve(lower, diag, upper,
+                                     (np.stack([-r, cgrad]) / w).T).T
         except SingularMatrix:
             return None, 0.0
-        a, b = solve(np.column_stack([-r, cgrad]) / w[:, None]).T
         d_kappa = (1.0 - w @ v ** q - cgrad @ a) / (cgrad @ b)
         dv = a + d_kappa * b
         # H dv = d_kappa grad C - r, so dv.H dv needs no product with H
         return dv, float(dv @ (d_kappa * cgrad - r))
 
-    v = project(init.values)
-    e = energy(v)
-    newton_steps = 0
+    v, e, sv = point(init.values)
+    state = stationarity(v, sv)
+    newton_steps = backtracks = 0
     for it in range(opts.max_iter + 1):
-        r, cgrad, kappa, beta = stationarity(v)
+        r, cgrad, kappa, floor, beta = state
         if beta <= opts.tol or it == opts.max_iter:
             break
         newton, curvature = newton_step(v, r, cgrad, kappa)
         is_newton = newton is not None and bool(r @ newton < 0.0 < curvature)
-        step = newton if is_newton else -precond(r)
+        step = newton if is_newton else -tridiagonal_solve(off, pdiag, off, r)
         slope = float(r @ step)
         # roundoff allowance: near the poles a genuine pointwise residual can
         # carry an energy decrease below the quadrature's roundoff floor
         slack = 1e-15 * (1.0 + abs(e))
-        t = 1.0
-        while t >= 1e-8:  # Armijo, backtracking from the unit step by halving
-            u = project(v + t * step)
-            eu = energy(u)
+        t, eu = 1.0, e
+        while -0.5 * slope > floor and t >= 1e-8:  # Armijo, halving t
+            u, eu, su = point(v + t * step)
             if eu <= e + 1e-4 * t * slope + slack:
                 break
             t *= 0.5
-        if t < 1e-8 or eu >= e:
+            backtracks += 1
+        fall_back = t < 1e-8 or eu >= e
+        if fall_back:
             # the energy resolves no decrease: keep the whole Newton step
             # only if it brings the iterate closer to stationarity
-            u = None if newton is None else project(v + newton)
-            if u is None or not stationarity(u)[3] < beta:
+            if newton is None:
                 break
-            eu, is_newton = energy(u), True
+            u, eu, su = point(v + newton)
+        state = stationarity(u, su)
+        if fall_back and not state[4] < beta:
+            break
         v, e = u, eu
-        newton_steps += is_newton
+        newton_steps += is_newton or fall_back
 
     converged = beta <= opts.tol
     if not converged and opts.raise_on_failure:
@@ -235,7 +242,7 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
                            el_residual_norm=float(np.abs(el).max()),
                            constancy=float(constancy), iterations=it,
                            converged=converged, backward_error=beta,
-                           newton_steps=newton_steps)
+                           newton_steps=newton_steps, backtracks=backtracks)
 
 
 def pressure_transform(v: ScalarField, q: float) -> ScalarField:

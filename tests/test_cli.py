@@ -192,8 +192,10 @@ def test_minimize_command(tmp_path):
         rep = json.load(fh)
     assert list(rep) == ["A", "q", "d_prime", "lambda", "c", "i_value",
                          "el_residual_norm", "constancy", "iterations",
-                         "converged", "backward_error", "newton_steps"]
+                         "converged", "backward_error", "newton_steps",
+                         "backtracks"]
     assert rep["backward_error"] <= 1e-13 and rep["newton_steps"] >= 1
+    assert isinstance(rep["backtracks"], int) and rep["backtracks"] >= 0
 
 
 def test_rigidity_scan_command(tmp_path):

@@ -13,7 +13,7 @@ from cdsobolev.flows import (density_from_field, hessian_second_derivative,
                              renyi_hessian_quadform)
 from cdsobolev.model_space import (KINDS, _check_same_space, _diff1, _diff2,
                                    _fill_ghosts, apply_stiffness, fv_stiffness,
-                                   tridiagonal_solver, weighted_laplacian_fv)
+                                   tridiagonal_solve, weighted_laplacian_fv)
 from cdsobolev.sobolev import lq_norm, sobolev_deficit
 from cdsobolev.variational import (gamma2_identity_terms, minimize_subcritical,
                                    rigidity_scan)
@@ -298,20 +298,25 @@ def test_apply_stiffness_matches_csc_matvec_bitwise(kind, d, n, N):
         assert np.array_equal(apply_stiffness(bands, v), S @ v)
 
 
+def _polish_matrix(kind, d, n, N):
+    """The polish's H = 2A S + 2W - 2(q-1)W at a constant state: indefinite,
+    and LAPACK's partial pivoting swaps most of its rows."""
+    space = build_space(kind, d, n, N)
+    main, off = fv_stiffness(space)
+    A, q, w = 0.3, 5.0, space.quad_weights
+    diag = (2.0 * A) * main + (2.0 * w - 2.0 * (q - 1.0) * w)
+    scaled = (2.0 * A) * off
+    return scaled, diag, scaled
+
+
 def _solver_cases():
     rng = np.random.default_rng(7)
     N = 64
     lower, upper = rng.uniform(-1, 1, N - 1), rng.uniform(-1, 1, N - 1)
     dominant = 3.0 + rng.uniform(0, 1, N)
     yield "nonsymmetric", (lower, dominant, upper)
-    # the polish's H = 2A S + 2W - 2(q-1)W at a constant state: indefinite
     for kind, d, n in (("jacobi", 2, 4.5), ("sphere_radial", 3, 3.0)):
-        space = build_space(kind, d, n, N)
-        main, off = fv_stiffness(space)
-        A, q, w = 0.3, 5.0, space.quad_weights
-        diag = (2.0 * A) * main + (2.0 * w - 2.0 * (q - 1.0) * w)
-        scaled = (2.0 * A) * off
-        yield f"indefinite {kind}", (scaled, diag, scaled)
+        yield f"indefinite {kind}", _polish_matrix(kind, d, n, N)
 
 
 @pytest.mark.parametrize("name,args", list(_solver_cases()))
@@ -320,13 +325,33 @@ def test_tridiagonal_solver_matches_dense_solve(name, args):
     if "indefinite" in name:
         eigs = np.linalg.eigvalsh(T)
         assert eigs.min() < 0.0 < eigs.max()
-    solve = tridiagonal_solver(*args)
     rng = np.random.default_rng(11)
     for b in (rng.standard_normal(len(T)), rng.standard_normal((len(T), 2))):
-        x = solve(b)
+        x = tridiagonal_solve(*args, b)
         ref = np.linalg.solve(T, b)
         assert x.shape == b.shape
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name,args", list(_solver_cases()) + [
+    ("indefinite sphere_radial N=2048",
+     _polish_matrix("sphere_radial", 3, 3.0, 2048))])
+def test_tridiagonal_solve_matches_gttrf_gttrs_bitwise(name, args):
+    # one gtsv call does the arithmetic of gttrf followed by gttrs, so no
+    # artifact computed through a solve depends on which of the two ran
+    from scipy.linalg import lapack
+    N = len(args[1])
+    *factor, info = lapack.dgttrf(*args)
+    assert info == 0
+    swaps = np.count_nonzero(factor[4] != np.arange(1, N + 1))
+    if N == 2048:
+        assert swaps > 1000
+    rng = np.random.default_rng(N)
+    two = rng.standard_normal((N, 2))
+    for b in (rng.standard_normal(N), two, np.asfortranarray(two)):
+        x = tridiagonal_solve(*args, b)
+        assert x.shape == b.shape
+        assert np.array_equal(x, lapack.dgttrs(*factor, b)[0])
 
 
 def test_tridiagonal_solver_singular_raises():
@@ -335,19 +360,33 @@ def test_tridiagonal_solver_singular_raises():
     path = np.full(N, 2.0)
     path[[0, -1]] = 1.0
     with pytest.raises(SingularMatrix):
-        tridiagonal_solver(off, path, off)                 # zero pivot
+        tridiagonal_solve(off, path, off, np.ones(N))      # zero pivot
 
 
 def test_tridiagonal_solver_rejects_fewer_than_three_unknowns():
     for N in (0, 1, 2):
         with pytest.raises(InvalidParameter):
-            tridiagonal_solver(np.ones(max(N - 1, 0)), np.full(N, 4.0),
-                               np.ones(max(N - 1, 0)))
+            tridiagonal_solve(np.ones(max(N - 1, 0)), np.full(N, 4.0),
+                              np.ones(max(N - 1, 0)), np.ones(N))
     # N = 3 is taken: the suite's scipy_linalg_import phase solves one
     args = ([1.0, -0.5], [4.0, 3.0, 5.0], [0.5, 1.0])
     b = np.array([1.0, -2.0, 0.5])
-    x = tridiagonal_solver(*args)(b)
+    x = tridiagonal_solve(*args, b)
     assert np.abs(dense_tridiagonal(*args) @ x - b).max() <= 1e-14
+
+
+@pytest.mark.parametrize("lower,upper,b", [
+    ([1.0, 1.0], [1.0], np.ones(3)),             # short upper band
+    ([1.0], [1.0, 1.0], np.ones(3)),             # short lower band
+    ([1.0, 1.0, 1.0], [1.0, 1.0], np.ones(3)),   # long lower band
+    ([1.0, 1.0], [1.0, 1.0], np.ones(2)),        # short right-hand side
+    ([1.0, 1.0], [1.0, 1.0], np.ones((4, 2))),   # long right-hand sides
+    ([1.0, 1.0], [1.0, 1.0], np.ones((3, 2, 1))),
+    ([1.0, 1.0], [1.0, 1.0], 1.0),
+])
+def test_tridiagonal_solve_rejects_mismatched_lengths(lower, upper, b):
+    with pytest.raises(InvalidParameter, match="of size N = 3 "):
+        tridiagonal_solve(lower, [4.0, 3.0, 2.0], upper, b)
 
 
 def test_fv_laplacian_matches_centered_operator():

@@ -116,7 +116,24 @@ def test_scipy_is_imported_only_by_the_tridiagonal_solve():
     # solve needs it, so no module may import scipy when it is loaded
     users = [(name, owner) for name, tree in _modules().items()
              for owner in _scipy_import_owners(tree)]
-    assert users == [("model_space", "tridiagonal_solver")]
+    assert users == [("model_space", "tridiagonal_solve")]
+
+
+def test_no_module_calls_the_factor_then_solve_pair():
+    # one gtsv call factors and solves: a gttrf factor kept beside it would
+    # be a second solve path
+    def names(node):
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        if isinstance(node, ast.Name):
+            return [node.id]
+        return [a.name for a in getattr(node, "names", [])
+                if isinstance(a, ast.alias)]
+
+    used = sorted((name, n) for name, tree in _modules().items()
+                  for node in ast.walk(tree) for n in names(node)
+                  if n.split(".")[-1] in ("dgttrf", "dgttrs"))
+    assert used == []
 
 
 _COLD_IMPORT = """
@@ -126,11 +143,11 @@ import cdsobolev, cdsobolev.cli
 loaded = {"import": "scipy.linalg" in sys.modules}
 rc = cdsobolev.cli.main(["verify-cd", "--out", sys.argv[1]])
 loaded["verify-cd"] = "scipy.linalg" in sys.modules
-from cdsobolev.model_space import tridiagonal_solver
+from cdsobolev.model_space import tridiagonal_solve
 lower, diag, upper = [1.0, -2.0, 0.5], [4.0, 3.0, 5.0, 6.0], [0.5, 1.0, -1.0]
 dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
 b = np.array([1.0, 2.0, -1.0, 0.5])
-x = tridiagonal_solver(lower, diag, upper)(b)
+x = tridiagonal_solve(lower, diag, upper, b)
 loaded["solve"] = "scipy.linalg" in sys.modules
 err = float(np.abs(x - np.linalg.solve(dense, b)).max())
 print(json.dumps({"rc": rc, "loaded": loaded, "err": err}))

@@ -232,6 +232,37 @@ def test_minimizer_mesh_independent(N):
             assert rep.constancy > 0.1
 
 
+def test_no_line_search_below_the_energy_roundoff():
+    # near the root the Newton steps predict energy decreases of about
+    # 1e-12, which the energy's roundoff hides: searching them took 6
+    # iterations and 46 halvings before the full Newton step converged
+    space = build_space("sphere_radial", 3, 3.0, 4096)
+    init = space.field(1.0 + 0.4 * np.cos(space.grid))
+    A = a_star(10.0 / 3.0, space.rho) * 4.0 / 3.0
+    rep = minimize_subcritical(space, A, 5.0, init)
+    assert rep.converged and rep.constancy <= 1e-6
+    assert rep.iterations <= 4
+    assert rep.backtracks == 0
+
+
+def test_scan_converges_from_every_start_amplitude():
+    # the scan's eleven A at N = 2048, from cosine starts whose amplitudes
+    # are the ends of [0.2, 0.6] and seeded draws inside it
+    space = build_space("sphere_radial", 3, 3.0, 2048)
+    astar = a_star(10.0 / 3.0, space.rho)
+    a_values = [0.05] + list(np.linspace(astar, 2.0 * astar, 10))
+    amplitudes = [0.2, 0.6, *np.random.default_rng(20).uniform(0.2, 0.6, 4)]
+    opts = MinimizeOptions(raise_on_failure=False)
+    for amp in amplitudes:
+        init = space.field(1.0 + amp * np.cos(space.grid))
+        for A in a_values:
+            rep = minimize_subcritical(space, A, 5.0, init, opts)
+            assert rep.converged, (amp, A)
+            if A >= astar:
+                assert rep.constancy <= 1e-6, (amp, A)
+                assert abs(rep.i_value - 1.0) <= 1e-8, (amp, A)
+
+
 def test_near_bifurcation_jacobi():
     # half a percent on either side of A_bif = (q - 2)/lambda_1, with
     # lambda_1 the discrete eigenvalue of S x = lambda W x
