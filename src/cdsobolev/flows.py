@@ -15,19 +15,19 @@ The density layer runs the fast diffusion equation
 
 which is the gradient flow of the Renyi entropy
 R_alpha(mu) = (1/(alpha(alpha-1))) int mu^alpha with respect to the Otto
-metric |grad phi|_mu^2 = int Gamma(phi) dmu.  Time stepping uses the
-self-adjoint finite-volume form of L, so mass is conserved to roundoff.
-The scheme is the implicit midpoint rule at a fixed step: second order and
-free of the h^2 stability bound of explicit schemes.  The stiffness S and
-its stencil, factor and solve come from ``model_space``: S is tridiagonal,
-so each Newton iteration of a step is one tridiagonal solve.  The default
-step dt = 1e-2 is set by the dissipation-identity check; see
-``fast_diffusion_flow``.  The Otto Hessian of R_alpha, its quadratic-form
-evaluation, and the convexity relation that reproduces the sharp Sobolev
-inequality are exposed as direct evaluators; a transport path cross-checks
-the Hessian.  The check differentiates the semi-discrete
-path twice at s = 0 in closed form, from the difference stencils alone, so
-it has no step size and no s^2 error; see ``hessian_second_derivative``.
+metric |grad phi|_mu^2 = int Gamma(phi) dmu.  The steps and the Otto norm
+both use the finite-volume form w mu' = -(1/alpha) S mu^alpha of
+``model_space``: mass is conserved to roundoff, and the recorded
+|grad R_alpha|^2 = Phi^T S mu^alpha / alpha is exactly -dR_alpha/dt of the
+semi-discrete flow.  The scheme is the implicit midpoint rule at a fixed
+step, second order with no h^2 stability bound; each Newton iteration is
+one tridiagonal solve.  The default dt = 1e-2 is set by the
+dissipation-identity check; see ``fast_diffusion_flow``.  The Otto Hessian
+of R_alpha, its quadratic form and the convexity relation that reproduces
+the sharp Sobolev inequality are evaluated on the centered stencils.  A
+transport path cross-checks the Hessian by differentiating the semi-discrete
+path twice at s = 0 in closed form: no step size and no s^2 error; see
+``hessian_second_derivative``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ from .errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
                      InvalidParameter, NoConvergence, NotAProbabilityDensity,
                      PositivityLost, StepUnstable)
 from .model_space import (ModelSpace, ScalarField, _apply_L,
-                          _check_same_space, _diff1, _gamma_terms,
-                          _quadrature, _with_ghosts, apply_stiffness,
-                          fv_stiffness, integrate, tridiagonal_solve)
+                          _check_same_space, _diff1, _dirichlet_form,
+                          _gamma_terms, _quadrature, _with_ghosts,
+                          apply_stiffness, fv_stiffness, integrate,
+                          tridiagonal_solve)
 from .sobolev import grad_norm_sq
 
 MASS_TOL = 1e-8
@@ -277,8 +278,8 @@ def convexity_inequality_margin(problem: FiniteDimProblem, x):
 # ---------------------------------------------------------------------------
 
 def _check_alpha(alpha: float):
-    if alpha <= 0.0 or alpha == 1.0:
-        raise InvalidAlpha(f"alpha = {alpha} must be positive and != 1")
+    if not (0.0 < alpha < math.inf and alpha != 1.0):
+        raise InvalidAlpha(f"alpha = {alpha} must be finite, positive, != 1")
 
 
 def _check_density(space: ModelSpace, mu: ScalarField):
@@ -296,10 +297,10 @@ def _renyi_raw(space: ModelSpace, values: np.ndarray, alpha: float) -> float:
 
 def _otto_grad_norm_sq(space: ModelSpace, values: np.ndarray,
                        alpha: float) -> float:
-    """int Gamma(Phi) mu dnu, Phi = mu^{alpha-1}/(alpha-1), on raw values."""
-    dphi = _diff1(space,
-                  _with_ghosts(values ** (alpha - 1.0) / (alpha - 1.0)))
-    return float(np.dot(space.quad_weights, dphi * dphi * values))
+    """int Gamma(Phi) mu dnu as Phi^T S mu^alpha / alpha, Phi = mu^{alpha-1} /
+    (alpha-1), of raw values: -dR_alpha/dt along w mu' = -S mu^alpha/alpha."""
+    p = values ** (alpha - 1.0)  # one power: mu^alpha = p mu
+    return _dirichlet_form(space, p / (alpha - 1.0), p * values) / alpha
 
 
 def renyi_entropy(space: ModelSpace, mu: ScalarField, alpha: float) -> float:

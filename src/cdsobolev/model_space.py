@@ -8,11 +8,11 @@ satisfies CD(n-1, n).  Two kinds are supported:
 * ``sphere_radial`` -- the radial part of the round d-sphere, n = d;
 * ``jacobi``        -- a real effective dimension n > 2.
 
-Derivatives are centered second-order finite differences with even-reflection
-closure at the poles.  They act on ghost-padded arrays of shape (..., N+2)
-whose end cells ``_fill_ghosts`` sets, so a batch of rows is differenced in
-one call and a result can be written straight into the interior of the next
-padded operand.  The drift
+Pointwise fields (Gamma, Gamma_2, L) use centered second-order finite
+differences with even-reflection closure at the poles.  They act on
+ghost-padded arrays of shape (..., N+2) whose end cells ``_fill_ghosts``
+sets, so a batch of rows is differenced in one call and a result can be
+written straight into the interior of the next padded operand.  The drift
 W' is evaluated analytically as -(n-1) cot(theta), once per space, never by
 differencing W.
 
@@ -20,10 +20,11 @@ differencing W.
 one owned, read-only float copy; only a scalar (0-d) is broadcast, any other
 shape than the grid's raises ``SpaceMismatch``, a non-finite ``InvalidConfig``.
 
-The finite-volume stiffness S lives here only: its bands, its stencil and
-one tridiagonal solve, a single LAPACK gtsv call (``fv_stiffness``,
-``apply_stiffness``, ``tridiagonal_solve``).  LAPACK loads on the first
-solve: ``scipy.linalg`` takes about 0.3 s to import, and most never solve.
+The finite-volume stiffness S lives here only.  ``build_space`` evaluates
+its face weights c_f = sin^{n-1}(theta_f)/(Z h) once, and they give S's
+bands and stencil and the face sum u^T S v, the one integrated Gamma.  Its
+solve is one LAPACK gtsv call, loaded on first use (``scipy.linalg`` takes
+about 0.3 s to import, and most never solve).
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ class ModelSpace:
     h: float
     resolution: int
     drift: np.ndarray              # W'(theta)
+    faces: np.ndarray              # c_f at faces i*h, i < N; 0 at the poles
 
     def __post_init__(self):
-        for arr in (self.grid, self.quad_weights, self.drift):
+        for arr in (self.grid, self.quad_weights, self.drift, self.faces):
             arr.setflags(write=False)
 
     @property
@@ -133,9 +135,10 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
         raise InvalidConfig(
             f"n = {n} at resolution {resolution}: the measure sin^(n-1) of "
             f"{np.count_nonzero(w == 0.0)} cells underflows to 0")
+    faces = np.sin(np.arange(1, resolution) * h) ** (n - 1.0) / (Z * h)
     return ModelSpace(kind=kind, d=d, n=n, rho=n - 1.0, grid=grid,
                       quad_weights=w, Z=Z, h=h, resolution=resolution,
-                      drift=drift)
+                      drift=drift, faces=faces)
 
 
 def _check_same_space(space: ModelSpace, *fields: ScalarField):
@@ -246,20 +249,10 @@ def ibp_residual(space: ModelSpace, u: ScalarField, v: ScalarField) -> float:
 
 
 def fv_stiffness(space: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Bands (main, off) of the finite-volume Dirichlet form S.
-
-    S is symmetric tridiagonal with v^T S v ~ int Gamma(v) dnu.
-    Face-centered weights make it an oscillation-proof energy: positive
-    semidefinite, with 1^T S = 0 exactly.
-    """
-    N = space.resolution
-    h = space.h
-    # interior faces at theta = i*h, i = 1..N-1; pole faces carry zero weight
-    c = np.sin(np.arange(1, N) * h) ** (space.n - 1.0) / (space.Z * h)
-    main = np.zeros(N)
-    main[:-1] += c
-    main[1:] += c
-    return main, -c
+    """Bands (main, off) of the symmetric tridiagonal Dirichlet form S of the
+    face weights c: positive semidefinite, with 1^T S = 0 exactly."""
+    c = space.faces
+    return np.append(c, 0.0) + np.append(0.0, c), -c
 
 
 def apply_stiffness(bands, v: np.ndarray) -> np.ndarray:
@@ -270,6 +263,15 @@ def apply_stiffness(bands, v: np.ndarray) -> np.ndarray:
     out[1:] += off * v[:-1]
     out[:-1] += off * v[1:]
     return out
+
+
+def _dirichlet_form(space: ModelSpace, u: np.ndarray, v: np.ndarray) -> float:
+    """u^T S v = sum_f c_f (u_{f+1} - u_f)(v_{f+1} - v_f) of raw values, 0 on
+    a constant; raises ``InvalidConfig`` as ``_quadrature`` does."""
+    total = float(np.dot(space.faces, (u[1:] - u[:-1]) * (v[1:] - v[:-1])))
+    if not math.isfinite(total):
+        raise InvalidConfig("field values must be finite")
+    return total
 
 
 def tridiagonal_solve(lower, diag, upper, b) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Sobolev norms, deficits, sharp constants and the extremal family.
 
-On a space satisfying CD(rho, n) the sharp inequality reads, with
-q = 2n/(n-2),
+On a space satisfying CD(rho, n) the sharp inequality reads, with q = 2n/(n-2),
 
     (||v||_q^2 - ||v||_2^2) / (q - 2)  <=  (1/n) ((n-1)/rho) ||grad v||_2^2.
 
 ``sobolev_deficit`` returns both sides and their gap; the gap vanishes on
 constants and, on the sphere, on the family (beta - cos theta)^{-(d-2)/2}.
+``grad_norm_sq`` is v^T S v, the finite-volume form the solvers use.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidExponent, InvalidParameter
 from .model_space import (ModelSpace, ScalarField, _check_same_space,
-                          _quadrature, gamma, integrate)
+                          _dirichlet_form, _quadrature)
 
 
 @dataclass(frozen=True)
@@ -41,16 +41,17 @@ def critical_exponent(n: float) -> float:
 
 def lq_norm(space: ModelSpace, v: ScalarField, q: float) -> float:
     """(int |v|^q dnu)^(1/q)."""
-    if q < 1.0:
-        raise InvalidExponent(f"q = {q} < 1")
+    if not 1.0 <= q < np.inf:
+        raise InvalidExponent(f"q = {q} must be finite and >= 1")
     _check_same_space(space, v)
     mom = _quadrature(space, np.abs(v.values) ** q)
     return float(mom ** (1.0 / q))
 
 
 def grad_norm_sq(space: ModelSpace, v: ScalarField) -> float:
-    """||grad v||_2^2 = int Gamma(v, v) dnu, via the shared Gamma operator."""
-    return integrate(space, gamma(space, v, v))
+    """||grad v||_2^2 = int Gamma(v) dnu in finite-volume form, v^T S v."""
+    _check_same_space(space, v)
+    return _dirichlet_form(space, v.values, v.values)
 
 
 def sobolev_deficit(space: ModelSpace, v: ScalarField, q: float) -> SobolevReport:
@@ -82,13 +83,13 @@ def extremal_field(space: ModelSpace, beta: float) -> ScalarField:
 
 def a_star(x: float, rho: float) -> float:
     """Sharp rigidity threshold 4(x-1)/(x(x-2) rho) at dimension parameter x."""
-    if rho <= 0.0:
-        raise InvalidParameter(f"A* needs rho > 0, got rho = {rho}")
+    if not (2.0 < x < np.inf and 0.0 < rho < np.inf):
+        raise InvalidParameter(f"A* needs finite x > 2 and rho > 0, "
+                               f"got x = {x}, rho = {rho}")
     return 4.0 * (x - 1.0) / (x * (x - 2.0) * rho)
 
 
 def sharp_constants(n: float, rho: float) -> tuple[float, float]:
     """((n-1)/(n rho), 4(n-1)/(n(n-2) rho)): inequality coefficient and A*."""
-    if n <= 2.0 or rho <= 0.0:
-        raise InvalidParameter(f"need n > 2 and rho > 0, got n={n}, rho={rho}")
-    return (n - 1.0) / (n * rho), a_star(n, rho)
+    astar = a_star(n, rho)  # checks n and rho before the division below
+    return (n - 1.0) / (n * rho), astar

@@ -6,9 +6,9 @@ For A > 0 and a strictly subcritical exponent q we minimize
 
 by one globalized bordered Newton loop (``minimize_subcritical``), with an
 absolute-value positivity projection and renormalization after every step.
-A converged minimizer v is rescaled by mu^{1/(q-2)} (mu the Lagrange
-multiplier, equal to the minimum value) so that it solves -A L v + v =
-v^{q-1} cleanly.
+Rescaled by I^{1/(q-2)}, a minimizer solves -A L v + v = v^{q-1}.  Its
+reported energy and Euler-Lagrange residual take L in the finite-volume
+form L_fv = -W^{-1} S that was minimized, so both certify the solve.
 
 The pressure function Phi = v^{-(q-2)/2} then satisfies
 
@@ -232,9 +232,9 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     vf = space.field(v)
     i_value = A * grad_norm_sq(space, vf) + _quadrature(space, v * v)
     d_prime, lam, c = subcritical_params(A, q)
-    w_resc = el_solution(v, i_value, q)
-    el = -A * apply_L(space, space.field(w_resc)).values + w_resc \
-        - w_resc ** (q - 1.0)
+    u = el_solution(v, i_value, q)
+    lu = np.diff(space.faces * np.diff(u), prepend=0.0, append=0.0) / w
+    el = -A * lu + u - u ** (q - 1.0)
     mean = float(np.dot(w, v))
     constancy = (v.max() - v.min()) / mean if mean > 0 else np.inf
     return MinimizerReport(A=A, q=q, d_prime=d_prime, lam=lam, c=c,

@@ -19,7 +19,8 @@ from cdsobolev.flows import (FiniteDimProblem, _rk4_step,
                              entropy_inequality_margin, fast_diffusion_flow,
                              fd_flow, hessian_second_derivative, renyi_entropy,
                              renyi_grad_norm_sq, renyi_hessian_quadform)
-from cdsobolev.model_space import apply_L, gamma, weighted_laplacian_fv
+from cdsobolev.model_space import (apply_L, apply_stiffness, fv_stiffness, gamma,
+                                   weighted_laplacian_fv)
 from cdsobolev.sobolev import critical_exponent, sobolev_deficit
 from cdsobolev.variational import minimize_subcritical
 
@@ -388,6 +389,31 @@ def test_grad_norm_quadratic_vanishing(sphere):
         mu = normalized(sphere, 1.0 + eps * np.cos(sphere.grid))
         ratios[eps] = renyi_grad_norm_sq(sphere, mu, 2.0 / 3.0) / eps ** 2
     assert abs(ratios[0.02] / ratios[0.01] - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("alpha", [0.4, 2.0 / 3.0, 0.9])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("N", [128, 1024, 4096])
+@pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
+                                      ("jacobi", 2, 4.5)])
+def test_otto_norm_is_the_semi_discrete_dissipation(kind, d, n, N, seed,
+                                                     alpha):
+    # along w mu' = -(1/alpha) S mu^alpha, dR_alpha/dt = sum w Phi mu' with
+    # Phi = mu^{alpha-1}/(alpha-1): the Otto norm is exactly -dR_alpha/dt
+    space = build_space(kind, d, n, N)
+    bands = fv_stiffness(space)
+    abs_bands = tuple(np.abs(band) for band in bands)
+    w = space.quad_weights
+    rng = np.random.default_rng(seed)
+    mu = normalized(space, 1.0 + 0.5 * np.cos(space.grid)
+                    + rng.uniform(0.0, 0.5, N)).values
+    phi, mu_a = mu ** (alpha - 1.0) / (alpha - 1.0), mu ** alpha
+    mu_dot = -apply_stiffness(bands, mu_a) / (alpha * w)
+    scale = np.abs(phi) @ apply_stiffness(abs_bands, mu_a) / alpha
+    assert abs(flows._otto_grad_norm_sq(space, mu, alpha)
+               + np.dot(w * phi, mu_dot)) <= 1e-15 * scale
+    const = flows._otto_grad_norm_sq(space, np.ones(N), alpha)
+    assert const == 0.0 and np.copysign(1.0, const) == 1.0
 
 
 def test_hessian_quadform_oracle(sphere):

@@ -6,7 +6,12 @@ import pytest
 from cdsobolev import (build_space, critical_exponent, extremal_field, lq_norm,
                        sharp_constants, sobolev_deficit)
 from cdsobolev.acceptance import trig_poly_field
-from cdsobolev.errors import InvalidConfig, InvalidExponent, InvalidParameter
+from cdsobolev.errors import (InvalidAlpha, InvalidConfig, InvalidExponent,
+                              InvalidParameter)
+from cdsobolev.flows import (renyi_entropy, renyi_grad_norm_sq,
+                             renyi_hessian_quadform)
+from cdsobolev.model_space import apply_stiffness, fv_stiffness
+from cdsobolev.sobolev import a_star, grad_norm_sq
 
 
 def test_critical_exponent_values():
@@ -117,3 +122,48 @@ def test_jacobi_extremal_not_asserted_zero():
     prof = space.field((2.0 - np.cos(space.grid)) ** (-(space.n - 2.0) / 2.0))
     rep = sobolev_deficit(space, prof, critical_exponent(space.n))
     assert rep.deficit >= -1e-6 * (1.0 + rep.rhs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("N", [128, 1024, 4096])
+@pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
+                                      ("jacobi", 2, 4.5)])
+def test_grad_norm_sq_is_the_stiffness_form(kind, d, n, N, seed):
+    # the face sum is v^T S v, to roundoff on the scale v^T |S| v of the
+    # stencil product, and exactly +0.0 on a constant
+    space = build_space(kind, d, n, N)
+    bands = fv_stiffness(space)
+    abs_bands = tuple(np.abs(band) for band in bands)
+    rng = np.random.default_rng(seed)
+    v = np.cos(rng.integers(1, 6) * space.grid) + rng.uniform(-1.0, 1.0, N)
+    scale = np.abs(v) @ apply_stiffness(abs_bands, np.abs(v))
+    assert abs(grad_norm_sq(space, space.field(v))
+               - v @ apply_stiffness(bands, v)) <= 1e-15 * scale
+    const = grad_norm_sq(space, space.field(rng.uniform(0.1, 10.0)))
+    assert const == 0.0 and np.copysign(1.0, const) == 1.0
+
+
+def _density(space):
+    raw = 1.0 + 0.5 * np.cos(space.grid)
+    return space.field(raw / np.dot(space.quad_weights, raw))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call, error", [
+    (lambda s, x: sharp_constants(x, 2.0), InvalidParameter),
+    (lambda s, x: sharp_constants(3.0, x), InvalidParameter),
+    (lambda s, x: a_star(x, 2.0), InvalidParameter),
+    (lambda s, x: a_star(5.0, x), InvalidParameter),
+    (lambda s, x: lq_norm(s, _density(s), x), InvalidExponent),
+    (lambda s, x: renyi_entropy(s, _density(s), x), InvalidAlpha),
+    (lambda s, x: renyi_grad_norm_sq(s, _density(s), x), InvalidAlpha),
+    (lambda s, x: renyi_hessian_quadform(s, _density(s), x, _density(s)),
+     InvalidAlpha),
+], ids=["sharp_constants-n", "sharp_constants-rho", "a_star-x", "a_star-rho",
+        "lq_norm-q", "renyi_entropy-alpha", "renyi_grad_norm_sq-alpha",
+        "renyi_hessian_quadform-alpha"])
+def test_non_finite_scalars_raise_typed_errors(call, error, bad):
+    # each admissible range is a finite interval, checked before any use
+    space = build_space("sphere_radial", 3, 3.0, 64)
+    with pytest.raises(error):
+        call(space, bad)

@@ -15,6 +15,18 @@ def _modules():
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
+def _function(module, name):
+    return next(node for node in _modules()[module].body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _referenced(nodes):
+    """The names and attributes that ``nodes`` reference."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for top in nodes for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
 def _relative_imports(tree, modules):
     """Package modules that ``tree`` imports through relative imports."""
     out = set()
@@ -250,24 +262,42 @@ def test_artifacts_are_written_only_by_the_reporting_writers():
 def test_hessian_path_stays_independent_of_gamma2():
     # the path second derivative cross-checks the Gamma_2 formula, so it
     # must not be computed from that formula
-    tree = _modules()["flows"]
-    body = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef)
-                and node.name == "hessian_second_derivative")
-    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(body)
-              if isinstance(node, ast.Attribute)}
+    names = _referenced([_function("flows", "hessian_second_derivative")])
     forbidden = {"_gamma_terms", "gamma2", "_hessian_quadform",
                  "renyi_hessian_quadform"}
     assert names & forbidden == set()
 
 
+CENTERED = {"gamma", "apply_L", "_apply_L", "_diff1", "_with_ghosts",
+            "_gamma_terms"}
+
+
+def test_integrated_energies_use_the_finite_volume_form():
+    # every integrated Gamma goes through the face weights of S: a centered
+    # stencil here would report an energy other than the one minimized
+    minimize = _function("variational", "minimize_subcritical").body
+    loop = max(i for i, stmt in enumerate(minimize)
+               if isinstance(stmt, ast.For))
+    for name, nodes, form in (
+            ("grad_norm_sq", [_function("sobolev", "grad_norm_sq")],
+             "_dirichlet_form"),
+            ("_otto_grad_norm_sq", [_function("flows", "_otto_grad_norm_sq")],
+             "_dirichlet_form"),
+            ("minimize_subcritical report", minimize[loop + 1:], "faces")):
+        refs = _referenced(nodes)
+        assert refs & CENTERED == set() and form in refs, name
+
+
+def test_face_weights_have_one_home():
+    # build_space evaluates the face weights once; S is built from them
+    refs = _referenced([_function("model_space", "fv_stiffness")])
+    assert "sin" not in refs and "faces" in refs
+
+
 def test_fd_flow_steps_without_evaluating():
     # fd_flow evaluates F, grad F and G once per block of steps; a call
     # added to its stepping loop would evaluate them once per step again
-    tree = _modules()["flows"]
-    body = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "fd_flow")
+    body = _function("flows", "fd_flow")
     loops = [node for node in ast.walk(body) if isinstance(node, ast.For)]
     innermost = [loop for loop in loops
                  if not any(isinstance(node, ast.For) and node is not loop
@@ -286,8 +316,7 @@ def test_flows_have_one_time_grid_and_one_derivative_rule():
     assert not any(isinstance(node, ast.Attribute)
                    and node.attr == "gradient" for node in ast.walk(tree))
     for name in ("fd_flow", "fast_diffusion_flow"):
-        body = next(node for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        body = _function("flows", name)
         callees = [ast.unparse(node.func) for node in ast.walk(body)
                    if isinstance(node, ast.Call)]
         assert "_time_grid" in callees, name

@@ -75,3 +75,16 @@ def test_csv_with_another_header_is_compared_by_column(tmp_path, capsys):
 def test_csv_without_column_names_is_compared_in_order(old, new):
     assert compare_artifacts.csv_report(old, new) \
         == compare_artifacts.moved_report(old, new)
+
+
+def test_csv_with_the_same_header_names_the_moved_columns():
+    old = "A,i_value,el_residual,converged\n0.05,0.0895,169.77,true\n" \
+          "2.1,1,3e-10,true\n"
+    new = "A,i_value,el_residual,converged\n0.05,0.0896,1.4e-10,true\n" \
+          "2.1,1,3e-10,true\n"
+    assert compare_artifacts.csv_report(old, new) == (
+        compare_artifacts.moved_report(old, new)
+        + "; cells differ in: i_value, el_residual")
+    # bytes that differ outside the cells (here a line ending) name none
+    assert compare_artifacts.csv_report("a\n1\n", "a\r\n1\r\n").endswith(
+        "; cells differ in: none")

@@ -9,9 +9,10 @@ file the numbers in the two texts are paired in order of appearance and
 the largest relative change |a - b| / max(|a|, |b|) is printed, over all
 numbers and over those with max(|a|, |b|) >= 1e-6; a file whose text
 differs outside its numbers, or whose count of numbers differs, is flagged.
-A moved CSV whose header changed has its cells paired by column name over
-the columns both sides share instead; the dropped and added columns, and
-the shared ones whose cells differ, are named.
+A moved CSV whose first row names distinct columns, with rows of its length,
+also names the columns whose cells differ.  If its header changed, its
+cells are paired by column name over the columns both sides share instead,
+and the dropped and added columns are named.
 Run both sides with the same output path, since ``manifest.json``
 records it.  Exits 1 if the two file sets differ, 2 on bad usage, else 0.
 Standard library only.
@@ -77,21 +78,22 @@ def _columns(text: str) -> dict[str, tuple[str, ...]] | None:
 
 
 def csv_report(old: str, new: str) -> str:
-    """``moved_report`` of two CSVs, by column name when their headers
-    differ."""
+    """``moved_report`` of two CSVs with the columns whose cells differ, by
+    column name when their headers differ."""
     a, b = _columns(old), _columns(new)
-    if a is None or b is None or list(a) == list(b):
+    if a is None or b is None:
         return moved_report(old, new)
     shared = [name for name in a if name in b]
+    differ = "cells differ in: " + (", ".join(
+        name for name in shared if a[name] != b[name]) or "none")
+    if list(a) == list(b):
+        return f"{moved_report(old, new)}; {differ}"
     notes = [f"columns {what}: {', '.join(names)}" for what, names in (
         ("dropped", [name for name in a if name not in b]),
         ("added", [name for name in b if name not in a])) if names]
     line = moved_report(*("\n".join(",".join(side[name]) for name in shared)
                           for side in (a, b)))
-    differ = [name for name in shared if a[name] != b[name]]
-    return "; ".join(notes + [f"over shared columns: {line}",
-                              "cells differ in: " + (", ".join(differ)
-                                                     or "none")])
+    return "; ".join(notes + [f"over shared columns: {line}", differ])
 
 
 def compare(parent: Path, change: Path) -> int:
