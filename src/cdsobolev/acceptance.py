@@ -414,7 +414,6 @@ def check_fast_diffusion_flow(out_dir, resolution=256) -> CheckResult:
         "T": trace.times[-1], "steps_recorded": len(trace.times),
         "final_entropy": ent[-1], "final_grad_norm_sq": gn[-1],
         "final_sup_dist": final_dist, "steps": trace.steps,
-        "newton_iterations": trace.newton_iterations,
         "stop_reason": trace.stop_reason, "alpha": alpha,
         "beta": 2.0 * alpha - 1.0, "n": space.n, "rho": space.rho,
         "converged": converged, "mass_drift_per_unit_time": mass_drift,

@@ -19,9 +19,9 @@ metric |grad phi|_mu^2 = int Gamma(phi) dmu.  The steps and the Otto norm
 both use the finite-volume form w mu' = -(1/alpha) S mu^alpha of
 ``model_space``: mass is conserved to roundoff, and the recorded
 |grad R_alpha|^2 = Phi^T S mu^alpha / alpha is exactly -dR_alpha/dt of the
-semi-discrete flow.  The scheme is the implicit midpoint rule at a fixed
-step, second order with no h^2 stability bound; each Newton iteration is
-one tridiagonal solve.  The default dt = 1e-2 is set by the
+semi-discrete flow.  The scheme is the linearly implicit midpoint rule at a
+fixed step, second order with no h^2 stability bound; each step is one
+tridiagonal solve.  The default dt = 1e-2 is set by the
 dissipation-identity check; see ``fast_diffusion_flow``.  The Otto Hessian
 of R_alpha, its quadratic form and the convexity relation that reproduces
 the sharp Sobolev inequality are evaluated on the centered stencils.  A
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
-                     InvalidParameter, NoConvergence, NotAProbabilityDensity,
-                     PositivityLost, StepUnstable)
+                     InvalidParameter, NotAProbabilityDensity, PositivityLost,
+                     StepUnstable)
 from .model_space import (ModelSpace, ScalarField, _apply_L,
                           _check_same_space, _diff1, _dirichlet_form,
                           _gamma_terms, _quadrature, _with_ghosts,
@@ -143,7 +143,6 @@ class FlowTrace:
     sup_distance: np.ndarray       # to the equilibrium point/density
     mass: np.ndarray | None = None
     steps: int = 0                 # time steps taken
-    newton_iterations: int = 0     # linear solves (implicit flows only)
     stop_reason: str = "T"         # "T" reached or "grad_stop"
 
     def __post_init__(self):
@@ -333,7 +332,7 @@ def renyi_hessian_quadform(space: ModelSpace, mu: ScalarField, alpha: float,
     _check_alpha(alpha)
     _check_density(space, mu)
     _check_same_space(space, phi)
-    _, lphi, _, g2 = _gamma_terms(space, phi.values)
+    lphi, _, g2 = _gamma_terms(space, phi.values)
     return _hessian_quadform(space, mu, alpha, lphi, g2)
 
 
@@ -383,59 +382,48 @@ def hessian_second_derivative(space: ModelSpace, mu: ScalarField,
 # fast diffusion flow
 # ---------------------------------------------------------------------------
 
-NEWTON_MAX_ITER = 20
-NEWTON_RTOL = 1e-10
 POSITIVITY_FLOOR = 1e-8  # fast diffusion raises once min mu <= this
 GRAD_STOP = 1e-12        # and stops once |grad R_alpha|^2 < this at a record
 
 
 def _midpoint_step(bands, w: np.ndarray, m: np.ndarray, alpha: float):
-    """One implicit-midpoint step of w * m' = -(1/alpha) S m^alpha.
+    """One linearly implicit midpoint step of w * m' = -(1/alpha) S m^alpha.
 
-    ``bands`` are those of (dt/2) S.  Newton's method solves w (y - m) +
-    (dt/(2 alpha)) S y^alpha = 0 for the midpoint y, one LAPACK gtsv call
-    (``tridiagonal_solve``) on the Jacobian w + (dt/2) S diag(y^(alpha-1)) per
-    iteration; 1^T S = 0 keeps w . y = w . m to roundoff.  It stops once
-    |delta| <= NEWTON_RTOL max|y|, a floor that grows with N like the
-    residual's roundoff.  Returns m_next = 2 y - m and the iteration count.
+    ``bands`` are those of (dt/2) S.  The implicit midpoint rule's equation
+    w (y - m) + (dt/(2 alpha)) S y^alpha = 0 for the midpoint y = m + delta
+    is linearized at m: one LAPACK gtsv call (``tridiagonal_solve``) solves
+    (w + (dt/2) S diag(m^(alpha-1))) delta = -(dt/(2 alpha)) S m^alpha.
+    That is the first Newton iterate of the implicit rule, and second order
+    like it (Hairer & Wanner, Solving ODEs II, IV.7); 1^T S = 0 keeps
+    w . delta = 0 to roundoff.  Returns m_next = m + 2 delta.
     """
     main, off = bands
-    y = m.copy()
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        if float(y.min()) <= 0.0:
-            raise PositivityLost(f"Newton iterate lost positivity "
-                                 f"(min {y.min()})")
-        d = y ** (alpha - 1.0)
-        resid = w * (y - m) + apply_stiffness(bands, y * d) / alpha
-        delta = tridiagonal_solve(off * d[:-1], w + main * d, off * d[1:],
-                                  -resid)
-        y += delta
-        if float(np.abs(delta).max()) <= NEWTON_RTOL * float(np.abs(y).max()):
-            return 2.0 * y - m, it
-    raise NoConvergence(
-        f"implicit-midpoint Newton did not converge in {NEWTON_MAX_ITER} "
-        f"iterations (last |delta| {np.abs(delta).max():.3e})")
+    d = m ** (alpha - 1.0)
+    delta = tridiagonal_solve(off * d[:-1], w + main * d, off * d[1:],
+                              -apply_stiffness(bands, m * d) / alpha)
+    return m + 2.0 * delta
 
 
 def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
                         T: float, dt: float = 1e-2) -> FlowTrace:
-    """Integrate d/dt mu = (1/alpha) L mu^alpha by the implicit midpoint rule.
+    """Integrate d/dt mu = (1/alpha) L mu^alpha by the linearly implicit
+    midpoint rule.
 
     In finite-volume form the flow is w * mu' = -(1/alpha) S mu^alpha with
     the tridiagonal stiffness S of ``fv_stiffness`` and w the quadrature
     weights, so 1^T S = 0 conserves mass to roundoff.  The steps are those
     of ``_time_grid``, at most ``dt``; the implicit rule has no CFL bound,
-    so the cost per unit time does not grow like N^2.  Each step solves for
-    its midpoint by Newton's method with one tridiagonal solve per
-    iteration (see ``_midpoint_step``).  The default dt = 1e-2 is set by the
-    dissipation gate of ``check_fast_diffusion_flow``: the residual
-    |dR/dt + |grad R|^2| is measured at every record by fourth-order
-    differences over the record spacing.  From the cosine start at N = 256
-    its worst relative value is 5.8e-5, 1.37e-4 and 4.98e-4 at dt = 5e-3,
-    1e-2 and 2e-2 against the 1e-3 gate; 1e-2 is the largest that keeps the
-    residual under a third of the gate.  The flow stops at T or once
-    |grad R_alpha|^2 falls below GRAD_STOP at one of the records after the
-    first five; it raises ``PositivityLost`` once min mu <= POSITIVITY_FLOOR.
+    so the cost per unit time does not grow like N^2.  Each step is one
+    tridiagonal solve (see ``_midpoint_step``).  The default dt = 1e-2 is
+    set by the dissipation gate of ``check_fast_diffusion_flow``: the
+    residual |dR/dt + |grad R|^2| is measured at every record by
+    fourth-order differences over the record spacing.  From the cosine start
+    at N = 256 its worst relative value is 2.19e-5, 9.11e-5 and 4.05e-4 at
+    dt = 5e-3, 1e-2 and 2e-2 against the 1e-3 gate; 1e-2 is the largest
+    that keeps the residual under a third of the gate.  The flow stops at T
+    or once |grad R_alpha|^2 falls below GRAD_STOP at one of the records
+    after the first five; it raises ``PositivityLost`` once min mu <=
+    POSITIVITY_FLOOR.
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidAlpha(f"fast diffusion needs 0 < alpha < 1, got {alpha}")
@@ -460,11 +448,9 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
 
     m = np.array(mu0.values)
     record(0.0, m)
-    newton = 0
     stop_reason = "T"
     for k in range(1, nsteps + 1):
-        m, iters = _midpoint_step(bands, w, m, alpha)
-        newton += iters
+        m = _midpoint_step(bands, w, m, alpha)
         t = k * dt
         if float(m.min()) <= POSITIVITY_FLOOR:
             raise PositivityLost(f"min mu = {m.min()} at t = {t}")
@@ -479,8 +465,7 @@ def fast_diffusion_flow(space: ModelSpace, mu0: ScalarField, alpha: float,
                 break
 
     return _make_trace(times, ent, gn, comp, dist, mass=np.array(mass),
-                       steps=k, newton_iterations=newton,
-                       stop_reason=stop_reason)
+                       steps=k, stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +485,7 @@ def convexity_relation_margin(space: ModelSpace, mu: ScalarField,
     # Phi = mu^{alpha-1}/(alpha-1), the Otto-gradient potential of R_alpha
     phi = space.field(mu.values ** (alpha - 1.0) / (alpha - 1.0))
     _check_density(space, mu)
-    _, lphi, g, g2 = _gamma_terms(space, phi.values)
+    lphi, g, g2 = _gamma_terms(space, phi.values)
     quad = _hessian_quadform(space, mu, alpha, lphi, g2)
     bracket = float(np.dot(space.quad_weights, g * mu.values ** alpha))
     return quad - (space.rho / alpha) * bracket

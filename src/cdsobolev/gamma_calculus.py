@@ -40,7 +40,7 @@ def cd_margin(space: ModelSpace, f: ScalarField) -> GammaReport:
     """Evaluate Gamma_2(f) - rho*Gamma(f) - (Lf)^2/n on every node, with the
     space's own curvature data rho and n."""
     _check_same_space(space, f)
-    _, lf, gf, g2f = _gamma_terms(space, f.values)
+    lf, gf, g2f = _gamma_terms(space, f.values)
     margin = g2f - space.rho * gf - lf ** 2 / space.n
     return GammaReport(gamma_field=space.field(gf),
                        gamma2_field=space.field(g2f), l_field=space.field(lf),

@@ -53,7 +53,6 @@ class ModelSpace:
     rho: float
     grid: np.ndarray
     quad_weights: np.ndarray
-    Z: float
     h: float
     resolution: int
     drift: np.ndarray              # W'(theta)
@@ -137,7 +136,7 @@ def build_space(kind: str, d: int, n: float, resolution: int) -> ModelSpace:
             f"{np.count_nonzero(w == 0.0)} cells underflows to 0")
     faces = np.sin(np.arange(1, resolution) * h) ** (n - 1.0) / (Z * h)
     return ModelSpace(kind=kind, d=d, n=n, rho=n - 1.0, grid=grid,
-                      quad_weights=w, Z=Z, h=h, resolution=resolution,
+                      quad_weights=w, h=h, resolution=resolution,
                       drift=drift, faces=faces)
 
 
@@ -204,7 +203,7 @@ def _apply_L(space: ModelSpace, p: np.ndarray, dp=None,
 
 
 def _gamma_terms(space: ModelSpace, v: np.ndarray):
-    """(v', L v, Gamma(v), Gamma_2(v)) of the values v, each evaluated once;
+    """(L v, Gamma(v), Gamma_2(v)) of the values v, each evaluated once;
     Gamma_2(v) = L(Gamma(v))/2 - Gamma(v, Lv)."""
     p = _with_ghosts(v)
     dv = _diff1(space, p)
@@ -213,7 +212,7 @@ def _gamma_terms(space: ModelSpace, v: np.ndarray):
     np.multiply(dv, dv, out=g[1:-1])
     g2 = 0.5 * _apply_L(space, _fill_ghosts(g)) \
         - dv * _diff1(space, _fill_ghosts(lv))
-    return dv, lv[1:-1], g[1:-1], g2
+    return lv[1:-1], g[1:-1], g2
 
 
 def apply_L(space: ModelSpace, f: ScalarField) -> ScalarField:
@@ -233,7 +232,7 @@ def gamma(space: ModelSpace, f: ScalarField, g: ScalarField) -> ScalarField:
 def gamma2(space: ModelSpace, f: ScalarField) -> ScalarField:
     """Iterated carre du champ Gamma_2(f) = L(Gamma(f))/2 - Gamma(f, Lf)."""
     _check_same_space(space, f)
-    return space.field(_gamma_terms(space, f.values)[3])
+    return space.field(_gamma_terms(space, f.values)[2])
 
 
 def ibp_residual(space: ModelSpace, u: ScalarField, v: ScalarField) -> float:

@@ -140,8 +140,11 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
         raise InvalidParameter(f"A = {A} must be positive and finite")
     _check_subcritical(space, q)
     _check_same_space(space, init)
-    if np.abs(init.values).max() == 0.0:
-        raise InvalidParameter("init must be positive somewhere")
+    with np.errstate(over="ignore"):
+        moment = float(np.dot(space.quad_weights, np.abs(init.values) ** q))
+    if not 0.0 < moment < np.inf:  # the projection divides by its q-th root
+        raise InvalidParameter(f"init must have 0 < int |v|^q dnu < inf, "
+                               f"got {moment}")
     if opts.max_iter < 1:
         raise InvalidParameter(f"max_iter = {opts.max_iter} must be >= 1")
 
@@ -271,7 +274,7 @@ def gamma2_identity_terms(space: ModelSpace, phi: ScalarField,
     if phi.min() <= 0.0:
         raise NonPositiveField("pressure field must be positive")
     weight = phi.values ** (1.0 - d_prime)
-    _, lphi, g, g2 = _gamma_terms(space, phi.values)
+    lphi, g, g2 = _gamma_terms(space, phi.values)
     return (_quadrature(space, g2 * weight),
             _quadrature(space, lphi ** 2 / d_prime * weight),
             _quadrature(space, c / d_prime * g * weight))

@@ -58,8 +58,8 @@ def test_fast_diffusion_flow(tmp_path):
         doc = json.load(fh)
     assert list(doc) == [
         "T", "steps_recorded", "final_entropy", "final_grad_norm_sq",
-        "final_sup_dist", "steps", "newton_iterations", "stop_reason",
-        "alpha", "beta", "n", "rho", "converged", "mass_drift_per_unit_time",
+        "final_sup_dist", "steps", "stop_reason", "alpha", "beta", "n",
+        "rho", "converged", "mass_drift_per_unit_time",
         "max_relative_dissipation_residual"]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -93,13 +94,20 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
                             "resolution": 2048}, "q": 2.02}),
     ("critical-limit", {"space": {"kind": "jacobi", "d": 2, "n": 120,
                                   "resolution": 2048}, "q_list": [2.02]}),
+    # a start whose L^q moment overflows: the projection has no q-th root
+    ("minimize", {"init": {"amplitude": 1e200}}),
+    ("rigidity-scan", {"init": {"amplitude": 1e200}}),
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
-    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a process prints them on stderr
+        assert main([*command.split(), "--config", cfg,
+                     "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert [str(w.message) for w in caught] == []
     assert "Traceback" not in err
     assert os.listdir(out) == []               # rejected before any artifact
 

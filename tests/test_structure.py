@@ -308,6 +308,18 @@ def test_fd_flow_steps_without_evaluating():
     assert [ast.unparse(call.func) for call in calls] == ["_rk4_step"]
 
 
+def test_midpoint_step_is_one_linear_solve():
+    # the fast-diffusion step is linearly implicit: one tridiagonal solve,
+    # no iteration; a loop here would bring back a Newton solve and its
+    # tolerance
+    body = _function("flows", "_midpoint_step")
+    assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
+                   for node in ast.walk(body))
+    callees = [ast.unparse(node.func) for node in ast.walk(body)
+               if isinstance(node, ast.Call)]
+    assert callees.count("tridiagonal_solve") == 1
+
+
 def test_flows_have_one_time_grid_and_one_derivative_rule():
     # both flows take their steps from _time_grid, whose evenly spaced
     # records the five-point stencils need; a second grid, or a fallback

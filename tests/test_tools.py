@@ -1,14 +1,26 @@
-"""tools/compare_artifacts.py: same / moved / missing and the exit code."""
+"""tools/compare_artifacts.py: same / moved / missing and the exit code;
+tools/run_commands.py: every command into its own directory."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_artifacts.py"
-_spec = importlib.util.spec_from_file_location("compare_artifacts", _PATH)
-compare_artifacts = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_artifacts)
+from cdsobolev import cli
+
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_artifacts = _load("compare_artifacts")
+run_commands = _load("run_commands")
 
 
 def _write(root: Path, files: dict):
@@ -88,3 +100,28 @@ def test_csv_with_the_same_header_names_the_moved_columns():
     # bytes that differ outside the cells (here a line ending) name none
     assert compare_artifacts.csv_report("a\n1\n", "a\r\n1\r\n").endswith(
         "; cells differ in: none")
+
+
+def test_run_commands_runs_every_command_at_its_defaults(tmp_path,
+                                                         monkeypatch):
+    calls = []
+
+    def recording_main(argv):
+        calls.append(argv)
+        return len(calls) % 4  # exit codes 1, 2, 3, 0, 1, ...
+
+    monkeypatch.setattr(cli, "main", recording_main)
+    out = tmp_path / "new" / "out"
+    assert run_commands.main([str(out)]) == 0
+    assert calls == [[name, "--out", str(out / name)]
+                     for name in cli.COMMANDS]
+    codes = json.loads((out / "exit_codes.json").read_text(encoding="utf-8"))
+    assert list(codes) == list(cli.COMMANDS)
+    assert list(codes.values()) == [i % 4 for i in range(1, len(calls) + 1)]
+
+
+@pytest.mark.parametrize("argv", [[], ["a", "b"]])
+def test_run_commands_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "main", lambda argv: pytest.fail("ran"))
+    assert run_commands.main(argv) == 2
+    assert "usage" in capsys.readouterr().err
