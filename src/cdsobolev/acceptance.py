@@ -33,8 +33,7 @@ from .flows import (FiniteDimProblem, convexity_inequality_margin,
                     fast_diffusion_flow, fd_flow, hessian_second_derivative,
                     renyi_hessian_quadform)
 from .gamma_calculus import bochner_residual, cauchy_schwarz_margin, cd_margin
-from .model_space import (ModelSpace, _quadrature, build_space, integrate,
-                          tridiagonal_solve)
+from .model_space import ModelSpace, _quadrature, build_space, integrate
 from .reporting import write_csv, write_field_csv, write_json, write_svg
 from .sobolev import (a_star, critical_exponent, extremal_field, lq_norm,
                       sharp_constants, sobolev_deficit)
@@ -696,9 +695,6 @@ def run_full_suite(out_dir: str, seed: int = 0) -> dict:
     run(check_extremal_saturation, out_dir)
     run(check_cd_equality_witness, out_dir)
     run(check_deficit_positivity_jacobi, out_dir, seed)
-    # the first solve imports scipy.linalg: time it apart from the scan
-    timed("scipy_linalg_import", tridiagonal_solve, [0, 0], [1, 1, 1], [0, 0],
-          [0, 0, 0])
     scan = timed("rigidity_scan_shared", _rigidity_scan_shared)
     run(check_rigidity_threshold, scan, out_dir)
     run(check_integral_identity, scan, out_dir)

@@ -23,13 +23,15 @@ shape than the grid's raises ``SpaceMismatch``, a non-finite ``InvalidConfig``.
 The finite-volume stiffness S lives here only.  ``build_space`` evaluates
 its face weights c_f = sin^{n-1}(theta_f)/(Z h) once, and they give S's
 bands and stencil and the face sum u^T S v, the one integrated Gamma.  Its
-solve is one LAPACK gtsv call, loaded on first use (``scipy.linalg`` takes
-about 0.3 s to import, and most never solve).
+solve is one LAPACK gtsv call, made through ctypes into the OpenBLAS that
+numpy >= 2 wheels bundle and numpy has already loaded; the symbol is looked
+up on the first solve, so the commands that never solve never touch it.
 """
 
 from __future__ import annotations
 
 import math
+from ctypes import CDLL, byref, c_double, c_int64
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,22 +275,57 @@ def _dirichlet_form(space: ModelSpace, u: np.ndarray, v: np.ndarray) -> float:
     return total
 
 
+_gtsv = None  # LAPACK dgtsv, bound by _load_gtsv on the first solve
+
+
+def _lapack_library():
+    """numpy's core extension: dlsym on its handle also searches the OpenBLAS
+    it links, which exports LAPACK with ILP64 (int64) sizes."""
+    return CDLL(np._core._multiarray_umath.__file__)
+
+
+def _load_gtsv():
+    """Bind ``_gtsv``; ``OSError`` if numpy's LAPACK has no dgtsv."""
+    global _gtsv
+    try:
+        gtsv = _lapack_library().scipy_dgtsv_64_
+    except (AttributeError, OSError):
+        raise OSError("tridiagonal solve: scipy_dgtsv_64_ not found in "
+                      "numpy's LAPACK; it needs a numpy >= 2 wheel with its "
+                      "bundled OpenBLAS") from None
+    # no argtypes: converting the eight arguments would cost about 3 us a
+    # call, and each is a byref of a ctypes object of the type gtsv reads
+    gtsv.restype = None
+    _gtsv = gtsv
+    return gtsv
+
+
 def tridiagonal_solve(lower, diag, upper, b) -> np.ndarray:
     """T^{-1} b for the tridiagonal T, in one LAPACK gtsv call.
 
-    LAPACK is imported on the first call: ``scipy.linalg`` costs about 0.3 s.
-    b may be a vector or an N x k array.  Raises ``SingularMatrix`` on a
-    zero pivot; ``InvalidParameter`` for N < 3 or lengths that do not fit.
+    b may be a vector or an N x k array, k >= 1; x has b's shape, and is
+    Fortran-ordered for k columns.  gtsv overwrites its operands, so it
+    works on copies: one buffer of the three bands and one of b.  Raises
+    ``SingularMatrix`` on a zero pivot; ``InvalidParameter`` for N < 3 or
+    shapes that do not fit; ``OSError`` if numpy has no LAPACK to call.
     """
-    if not (np.ndim(b) in (1, 2)
-            and 3 <= len(diag) == len(lower) + 1 == len(upper) + 1 == len(b)):
+    n = len(diag)
+    bands = np.concatenate((lower, diag, upper), dtype=float)
+    x = np.array(b, dtype=float, order="F")
+    # the shapes bound every pointer below: 3N - 2 band and N k b entries
+    if not (bands.ndim == 1 and x.ndim in (1, 2) and x.size
+            and 3 <= n == len(lower) + 1 == len(upper) + 1 == len(x)):
         raise InvalidParameter(
-            f"tridiagonal system of size N = {len(diag)} (N >= 3): bands of "
+            f"tridiagonal system of size N = {n} (N >= 3): bands of "
             f"{len(lower)} and {len(upper)} (N - 1), b of shape {np.shape(b)}")
-    from scipy.linalg import lapack
-    *_, x, info = lapack.dgtsv(lower, diag, upper, b)
-    if info != 0:
-        raise SingularMatrix(f"tridiagonal solve: gtsv info = {info}")
+    gtsv = _gtsv or _load_gtsv()
+    dl = c_double.from_buffer(bands)
+    size, info = c_int64(n), c_int64()
+    gtsv(byref(size), byref(c_int64(x.size // n)), byref(dl),
+         byref(dl, 8 * (n - 1)), byref(dl, 8 * (2 * n - 1)),
+         byref(c_double.from_buffer(x.T)), byref(size), byref(info))
+    if info.value != 0:
+        raise SingularMatrix(f"tridiagonal solve: gtsv info = {info.value}")
     return x
 
 

@@ -308,6 +308,23 @@ def test_io_failure_exits_3(tmp_path):
     assert main(["verify-cd", "--config", cfg, "--out", str(blocker)]) == 3
 
 
+def test_missing_lapack_exits_3_without_traceback(tmp_path, capsys,
+                                                  monkeypatch):
+    # numpy without its bundled OpenBLAS: the first solve finds no gtsv
+    import _ctypes
+    import ctypes
+    from cdsobolev import model_space
+    monkeypatch.setattr(model_space, "_gtsv", None)
+    monkeypatch.setattr(model_space, "_lapack_library",
+                        lambda: ctypes.CDLL(_ctypes.__file__))
+    cfg = write_config(tmp_path, {"space": {"resolution": 64}})
+    assert main(["minimize", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1, err
+    assert "scipy_dgtsv_64_ not found in numpy's LAPACK" in err
+
+
 def test_rerun_reproduces_artifacts(tmp_path, monkeypatch):
     cfg_doc = {"space": {"resolution": 256}, "corpus_size": 5, "seed": 3}
     outputs = {}

@@ -338,7 +338,8 @@ def test_tridiagonal_solver_matches_dense_solve(name, args):
      _polish_matrix("sphere_radial", 3, 3.0, 2048))])
 def test_tridiagonal_solve_matches_gttrf_gttrs_bitwise(name, args):
     # one gtsv call does the arithmetic of gttrf followed by gttrs, so no
-    # artifact computed through a solve depends on which of the two ran
+    # artifact computed through a solve depends on which of the two ran;
+    # scipy's own gtsv is the second reference for numpy's
     from scipy.linalg import lapack
     N = len(args[1])
     *factor, info = lapack.dgttrf(*args)
@@ -352,6 +353,7 @@ def test_tridiagonal_solve_matches_gttrf_gttrs_bitwise(name, args):
         x = tridiagonal_solve(*args, b)
         assert x.shape == b.shape
         assert np.array_equal(x, lapack.dgttrs(*factor, b)[0])
+        assert np.array_equal(x, lapack.dgtsv(*args, b)[3])
 
 
 def test_tridiagonal_solver_singular_raises():
@@ -368,7 +370,7 @@ def test_tridiagonal_solver_rejects_fewer_than_three_unknowns():
         with pytest.raises(InvalidParameter):
             tridiagonal_solve(np.ones(max(N - 1, 0)), np.full(N, 4.0),
                               np.ones(max(N - 1, 0)), np.ones(N))
-    # N = 3 is taken: the suite's scipy_linalg_import phase solves one
+    # N = 3, the smallest system, is taken
     args = ([1.0, -0.5], [4.0, 3.0, 5.0], [0.5, 1.0])
     b = np.array([1.0, -2.0, 0.5])
     x = tridiagonal_solve(*args, b)
@@ -383,10 +385,64 @@ def test_tridiagonal_solver_rejects_fewer_than_three_unknowns():
     ([1.0, 1.0], [1.0, 1.0], np.ones((4, 2))),   # long right-hand sides
     ([1.0, 1.0], [1.0, 1.0], np.ones((3, 2, 1))),
     ([1.0, 1.0], [1.0, 1.0], 1.0),
+    ([1.0, 1.0], [1.0, 1.0], np.ones((3, 0))),   # gtsv writes a column anyway
 ])
 def test_tridiagonal_solve_rejects_mismatched_lengths(lower, upper, b):
     with pytest.raises(InvalidParameter, match="of size N = 3 "):
         tridiagonal_solve(lower, [4.0, 3.0, 2.0], upper, b)
+
+
+def test_tridiagonal_solve_rejects_columns_as_bands():
+    # N x 1 bands concatenate to a 2-D buffer whose rows are not the bands
+    column = np.ones((2, 1))
+    with pytest.raises(InvalidParameter, match="of size N = 3 "):
+        tridiagonal_solve(column, np.full((3, 1), 4.0), column, np.ones(3))
+
+
+def _strided(a):
+    """The numbers of ``a`` as a view with stride 2."""
+    out = np.zeros((len(a), 2))
+    out[:, 0] = a
+    return out[:, 0]
+
+
+def test_tridiagonal_solve_leaves_its_inputs_unchanged():
+    # gtsv overwrites its operands; the minimizer reuses its bands and
+    # right-hand sides across iterations
+    rng = np.random.default_rng(5)
+    N = 32
+    lower, upper = rng.uniform(-1, 1, N - 1), rng.uniform(-1, 1, N - 1)
+    diag = 3.0 + rng.uniform(0, 1, N)
+    T = dense_tridiagonal(lower, diag, upper)
+    two = rng.standard_normal((N, 2))
+    for b in (two[:, 0].copy(), two, np.asfortranarray(two)):
+        inputs = (lower, diag, upper, b)
+        kept = [a.copy() for a in inputs]
+        x = tridiagonal_solve(*inputs)
+        assert all(np.array_equal(a, k) for a, k in zip(inputs, kept))
+        assert x.shape == b.shape and x.flags.f_contiguous
+        assert np.abs(T @ x - b).max() <= 1e-14
+    # lists and strided views of the same numbers give the same bits
+    x = tridiagonal_solve(lower, diag, upper, two[:, 0].copy())
+    views = [_strided(a) for a in (lower, diag, upper)] + [two[:, 0]]
+    assert not any(v.flags.c_contiguous for v in views)
+    assert np.array_equal(tridiagonal_solve(*views), x)
+    lists = [a.tolist() for a in (lower, diag, upper, two[:, 0])]
+    assert np.array_equal(tridiagonal_solve(*lists), x)
+
+
+def test_missing_lapack_symbol_raises_oserror_on_the_first_solve(monkeypatch):
+    import _ctypes
+    import ctypes
+    from cdsobolev import model_space
+    # a loaded library that is not numpy's and has no LAPACK
+    monkeypatch.setattr(model_space, "_gtsv", None)
+    monkeypatch.setattr(model_space, "_lapack_library",
+                        lambda: ctypes.CDLL(_ctypes.__file__))
+    with pytest.raises(OSError, match="scipy_dgtsv_64_ not found in "
+                                      "numpy's LAPACK"):
+        tridiagonal_solve([1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0], np.ones(3))
+    assert model_space._gtsv is None
 
 
 def test_fv_laplacian_matches_centered_operator():

@@ -1,11 +1,14 @@
-"""Structure of the package: import graph, scipy use and import cost."""
+"""Structure of the package: import graph, dependencies and import cost."""
 
 import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cdsobolev"
 
@@ -55,26 +58,11 @@ def _imports_from(node, package):
                for n in _imported_names(node))
 
 
-def _imports_scipy_sparse(tree):
-    return any(_imports_from(node, "scipy.sparse") for node in ast.walk(tree))
-
-
-def _scipy_import_owners(tree):
-    """The innermost enclosing function of each scipy import in ``tree``;
-    None for one that runs at import (module or class body)."""
-    owners = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if _imports_from(child, "scipy"):
-                owners.append(owner)
-            visit(child, owner)
-
-    visit(tree, None)
-    return owners
+def _third_party_imports(tree):
+    """Top-level names of the installed packages that ``tree`` imports."""
+    tops = {name.split(".")[0] for node in ast.walk(tree)
+            for name in _imported_names(node)}
+    return tops - set(sys.stdlib_module_names)
 
 
 def test_relative_import_graph_is_acyclic():
@@ -117,18 +105,23 @@ def test_library_modules_import_no_front_end():
         assert absolute == [], name
 
 
-def test_no_module_imports_scipy_sparse():
+def test_no_module_imports_scipy():
+    # the one LAPACK call goes to the OpenBLAS numpy already loads:
+    # scipy.linalg took about 0.3 s and 27 MB to import for it
     users = sorted(name for name, tree in _modules().items()
-                   if _imports_scipy_sparse(tree))
+                   if any(_imports_from(node, "scipy")
+                          for node in ast.walk(tree)))
     assert users == []
 
 
-def test_scipy_is_imported_only_by_the_tridiagonal_solve():
-    # importing scipy.linalg takes about 0.3 s, and only the tridiagonal
-    # solve needs it, so no module may import scipy when it is loaded
-    users = [(name, owner) for name, tree in _modules().items()
-             for owner in _scipy_import_owners(tree)]
-    assert users == [("model_space", "tridiagonal_solve")]
+def test_runtime_dependencies_are_what_src_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(PACKAGE.parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    declared = {re.split(r"[<>=!~ ;\[]", req)[0]
+                for req in project["dependencies"]}
+    imported = set().union(*map(_third_party_imports, _modules().values()))
+    assert declared == imported == {"numpy"}
 
 
 def test_no_module_calls_the_factor_then_solve_pair():
@@ -152,23 +145,29 @@ _COLD_IMPORT = """
 import json, sys
 import numpy as np
 import cdsobolev, cdsobolev.cli
-loaded = {"import": "scipy.linalg" in sys.modules}
+from cdsobolev import model_space
+
+def loaded():
+    return {"gtsv": model_space._gtsv is not None,
+            "scipy": sorted(m for m in sys.modules
+                            if m == "scipy" or m.startswith("scipy."))}
+
+state = {"import": loaded()}
 rc = cdsobolev.cli.main(["verify-cd", "--out", sys.argv[1]])
-loaded["verify-cd"] = "scipy.linalg" in sys.modules
-from cdsobolev.model_space import tridiagonal_solve
+state["verify-cd"] = loaded()
 lower, diag, upper = [1.0, -2.0, 0.5], [4.0, 3.0, 5.0, 6.0], [0.5, 1.0, -1.0]
 dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
 b = np.array([1.0, 2.0, -1.0, 0.5])
-x = tridiagonal_solve(lower, diag, upper, b)
-loaded["solve"] = "scipy.linalg" in sys.modules
+x = model_space.tridiagonal_solve(lower, diag, upper, b)
+state["solve"] = loaded()
 err = float(np.abs(x - np.linalg.solve(dense, b)).max())
-print(json.dumps({"rc": rc, "loaded": loaded, "err": err}))
+print(json.dumps({"rc": rc, "loaded": state, "err": err}))
 """
 
 
 def test_cold_import_leaves_lapack_unloaded(tmp_path):
-    # a fresh interpreter: this process has scipy.linalg loaded by other
-    # test modules
+    # a fresh interpreter: this process has scipy loaded by the tests that
+    # use it as a reference
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + ([env["PYTHONPATH"]]
@@ -179,8 +178,10 @@ def test_cold_import_leaves_lapack_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["rc"] == 0
-    assert result["loaded"] == {"import": False, "verify-cd": False,
-                                "solve": True}
+    assert result["loaded"] == {
+        "import": {"gtsv": False, "scipy": []},
+        "verify-cd": {"gtsv": False, "scipy": []},
+        "solve": {"gtsv": True, "scipy": []}}
     assert result["err"] < 1e-14
 
 
