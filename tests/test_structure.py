@@ -65,6 +65,24 @@ def _third_party_imports(tree):
     return tops - set(sys.stdlib_module_names)
 
 
+def _owners(tree, hit):
+    """The innermost enclosing function of each node of ``tree`` for which
+    ``hit`` holds; None for one that runs at import (module or class body)."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if hit(child):
+                owners.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return owners
+
+
 def test_relative_import_graph_is_acyclic():
     modules = _modules()
     graph = {name: _relative_imports(tree, modules)
@@ -112,6 +130,30 @@ def test_no_module_imports_scipy():
                    if any(_imports_from(node, "scipy")
                           for node in ast.walk(tree)))
     assert users == []
+
+
+def test_no_module_imports_scipy_sparse():
+    users = sorted(name for name, tree in _modules().items()
+                   if any(_imports_from(node, "scipy.sparse")
+                          for node in ast.walk(tree)))
+    assert users == []
+
+
+def test_scipy_is_imported_only_by_the_tridiagonal_solve():
+    # the tridiagonal solve, the one LAPACK caller, was the last importer
+    # of scipy; it now looks dgtsv up in numpy's LAPACK on its first call,
+    # so no module imports scipy and only the solve loads the library
+    def calls_loader(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_load_gtsv")
+
+    users = [(name, owner) for name, tree in _modules().items()
+             for owner in _owners(tree, lambda n: _imports_from(n, "scipy"))]
+    loaders = [(name, owner) for name, tree in _modules().items()
+               for owner in _owners(tree, calls_loader)]
+    assert users == []
+    assert loaders == [("model_space", "tridiagonal_solve")]
 
 
 def test_runtime_dependencies_are_what_src_imports():
