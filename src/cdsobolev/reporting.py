@@ -10,6 +10,7 @@ is a self-contained polyline plotter (axes, ticks, legend), no renderer.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -84,13 +85,13 @@ def _json_fragment(obj, indent: int, level: int) -> str:
         return str(obj)
     if isinstance(obj, float):
         return fmt_float(obj)
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+    if isinstance(obj, str):  # control characters too must be escaped
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad}"{k}": {_json_fragment(v, indent, level + 1)}'
+        items = [f'{pad}{json.dumps(str(k), ensure_ascii=False)}: '
+                 f'{_json_fragment(v, indent, level + 1)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + close + "}"
     if isinstance(obj, (list, tuple)):

@@ -6,6 +6,8 @@ For A > 0 and a strictly subcritical exponent q we minimize
 
 by one globalized bordered Newton loop (``minimize_subcritical``), with an
 absolute-value positivity projection and renormalization after every step.
+Each Newton step is one tridiagonal solve: the Hessian H of the Lagrangian
+maps v to r - kappa (q-2) grad C, so H^{-1} grad C comes from H^{-1}(-r) + v.
 Rescaled by I^{1/(q-2)}, a minimizer solves -A L v + v = v^{q-1}.  Its
 reported energy and Euler-Lagrange residual take L in the finite-volume
 form L_fv = -W^{-1} S that was minimized, so both certify the solve.
@@ -39,6 +41,8 @@ from .model_space import (ModelSpace, ScalarField, _check_same_space,
                           _gamma_terms, _quadrature, apply_L, apply_stiffness,
                           fv_stiffness, gamma, tridiagonal_solve)
 from .sobolev import a_star, critical_exponent, grad_norm_sq
+
+EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,24 @@ def _check_subcritical(space: ModelSpace, q: float):
         raise InvalidExponent(f"q = {q} outside the subcritical range (2, {qc})")
 
 
+def _newton_step(wh_bands, w, q, v, r, cgrad, kappa):
+    """The bordered Newton step (dv, dv.H dv) at v >= 0, or (None, 0.0) on
+    a singular H.  ``wh_bands`` are the bands of W^{-1} H without its term
+    in v.  With a = -H^{-1} r, H^{-1} grad C = -(a + v) / (kappa (q-2)), and
+    C(v) = grad C.v / q as C is q-homogeneous."""
+    lower, diag0, upper = wh_bands
+    diag = diag0 - kappa * q * (q - 1.0) * v ** (q - 2.0)
+    try:
+        a = tridiagonal_solve(lower, diag, upper, -r / w)
+    except SingularMatrix:
+        return None, 0.0
+    b = a + v
+    t = (1.0 - cgrad @ (v / q + a)) / (cgrad @ b)
+    dv = a + t * b
+    # H dv = -kappa (q-2) t grad C - r: dv.H dv needs no product with H
+    return dv, float(dv @ (-kappa * (q - 2.0) * t * cgrad - r))
+
+
 def minimize_subcritical(space: ModelSpace, A: float, q: float,
                          init: ScalarField,
                          opts: MinimizeOptions | None = None) -> MinimizerReport:
@@ -125,15 +147,16 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     One loop on r = grad E - kappa grad C (C = sum w v^q, kappa by least
     squares) stops once the componentwise backward error (Oettli-Prager)
     beta = max_i |r_i| / (2A|S||v| + 2w|v| + |kappa| q w |v|^{q-1})_i, whose
-    roundoff floor does not grow with N, is at most ``opts.tol``.  It steps
-    by bordered Newton (H [a b] = [-r, grad C] on the tridiagonal Hessian H)
-    when r.dv < 0 < dv.H dv, else by -M^{-1} r, M = 2A S + 2W, which keeps
-    it off saddles such as the constant below the bifurcation.  An Armijo
-    search on the energy of the projected iterate (|v|, renormalized)
-    globalizes both.  The energy resolves no decrease where none is found
-    down to t = 1e-8, or where the predicted one, |r.dv|/2, is at most the
-    error bound eps (A v.|S|v + w.v^2) of its sums and no search runs; there
-    the whole Newton step is taken if it lowers beta.
+    roundoff floor does not grow with N, is at most ``opts.tol`` in (0, 1).
+    It steps by bordered Newton (one solve H a = -r on the tridiagonal
+    Hessian H, with H^{-1} grad C along a + v) when r.dv < 0 < dv.H dv,
+    else by -M^{-1} r, M = 2A S + 2W, which keeps it off saddles such as
+    the constant below the bifurcation.  An Armijo search on the energy of
+    the projected iterate (|v|, renormalized) globalizes both.  The energy
+    resolves no decrease where none is found down to t = 1e-8, or where the
+    predicted one, |r.dv|/2, is at most the error bound
+    eps (A v.|S|v + w.v^2) of its sums and no search runs; there the whole
+    Newton step is taken if it lowers beta.
     """
     opts = opts or MinimizeOptions()
     if not 0.0 < A < np.inf:
@@ -147,60 +170,53 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
                                f"got {moment}")
     if opts.max_iter < 1:
         raise InvalidParameter(f"max_iter = {opts.max_iter} must be >= 1")
+    if not 0.0 < opts.tol < 1.0:  # beta <= 1, since |r_i| <= scale_i
+        raise InvalidParameter(f"tol = {opts.tol} must be in (0, 1)")
 
-    w, w2 = space.quad_weights, 2.0 * space.quad_weights
+    w = space.quad_weights
+    w2, qw = 2.0 * w, q * w
     bands = fv_stiffness(space)
     abs_bands = tuple(np.abs(band) for band in bands)
     main, off = ((2.0 * A) * band for band in bands)
     pdiag = main + w2  # of the preconditioner M
 
     def point(x):
-        """The projected iterate v = |x| / ||x||_q, its energy and S v."""
+        """The projected iterate v = |x| / ||x||_q, its energy, S v, w.v^2."""
         v = np.abs(x)
         v = v / np.dot(w, v ** q) ** (1.0 / q)
         sv = apply_stiffness(bands, v)
-        return v, float(A * (v @ sv) + np.dot(w, v * v)), sv
+        wv2 = np.dot(w, v * v)
+        return v, float(A * (v @ sv) + wv2), sv, wv2
 
-    def stationarity(v, sv):
+    def stationarity(v, sv, wv2):
         """(r, grad C, kappa, energy roundoff floor, beta) at v >= 0."""
         grad = 2.0 * (A * sv + w * v)
-        cgrad = q * w * v ** (q - 1.0)
+        cgrad = qw * v ** (q - 1.0)
         kappa = float(np.dot(grad, cgrad) / np.dot(cgrad, cgrad))
         r = grad - kappa * cgrad
+        abs_r = np.abs(r)
         abs_sv = apply_stiffness(abs_bands, v)
         scale = (2.0 * A) * abs_sv + w2 * v + abs(kappa) * cgrad
-        floor = np.finfo(float).eps * (A * (v @ abs_sv) + np.dot(w, v * v))
+        floor = EPS * (A * (v @ abs_sv) + wv2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = abs_r / scale
         # a cell whose residual underflows (0 included, where v vanishes
         # around it) is exact: there r_i and its scale are roundoff alone
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(r) / scale
-        return r, cgrad, kappa, floor, float(np.max(
-            ratio, initial=0.0, where=np.abs(r) >= np.finfo(float).tiny))
+        ratio[abs_r < TINY] = 0.0
+        return r, cgrad, kappa, floor, float(ratio.max())
 
     # H is solved in the rows of W^{-1} H, which share the scale of -2A L:
     # on H itself pivoting swaps the tiny pole rows and loses the pole cells
-    lower, upper, diag0 = off / w[1:], off / w[:-1], main / w + 2.0
+    wh_bands = off / w[1:], main / w + 2.0, off / w[:-1]
 
-    def newton_step(v, r, cgrad, kappa):
-        diag = diag0 - kappa * q * (q - 1.0) * v ** (q - 2.0)
-        try:  # both right-hand sides as the columns of one Fortran array
-            a, b = tridiagonal_solve(lower, diag, upper,
-                                     (np.stack([-r, cgrad]) / w).T).T
-        except SingularMatrix:
-            return None, 0.0
-        d_kappa = (1.0 - w @ v ** q - cgrad @ a) / (cgrad @ b)
-        dv = a + d_kappa * b
-        # H dv = d_kappa grad C - r, so dv.H dv needs no product with H
-        return dv, float(dv @ (d_kappa * cgrad - r))
-
-    v, e, sv = point(init.values)
-    state = stationarity(v, sv)
+    v, e, sv, wv2 = point(init.values)
+    state = stationarity(v, sv, wv2)
     newton_steps = backtracks = 0
     for it in range(opts.max_iter + 1):
         r, cgrad, kappa, floor, beta = state
         if beta <= opts.tol or it == opts.max_iter:
             break
-        newton, curvature = newton_step(v, r, cgrad, kappa)
+        newton, curvature = _newton_step(wh_bands, w, q, v, r, cgrad, kappa)
         is_newton = newton is not None and bool(r @ newton < 0.0 < curvature)
         step = newton if is_newton else -tridiagonal_solve(off, pdiag, off, r)
         slope = float(r @ step)
@@ -209,7 +225,7 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
         slack = 1e-15 * (1.0 + abs(e))
         t, eu = 1.0, e
         while -0.5 * slope > floor and t >= 1e-8:  # Armijo, halving t
-            u, eu, su = point(v + t * step)
+            u, eu, su, wv2 = point(v + t * step)
             if eu <= e + 1e-4 * t * slope + slack:
                 break
             t *= 0.5
@@ -220,8 +236,8 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
             # only if it brings the iterate closer to stationarity
             if newton is None:
                 break
-            u, eu, su = point(v + newton)
-        state = stationarity(u, su)
+            u, eu, su, wv2 = point(v + newton)
+        state = stationarity(u, su, wv2)
         if fall_back and not state[4] < beta:
             break
         v, e = u, eu
@@ -236,7 +252,9 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     i_value = A * grad_norm_sq(space, vf) + _quadrature(space, v * v)
     d_prime, lam, c = subcritical_params(A, q)
     u = el_solution(v, i_value, q)
-    lu = np.diff(space.faces * np.diff(u), prepend=0.0, append=0.0) / w
+    flux = space.faces * np.diff(u)
+    lu = np.concatenate(([flux[0] - 0.0], flux[1:] - flux[:-1],
+                         [0.0 - flux[-1]])) / w
     el = -A * lu + u - u ** (q - 1.0)
     mean = float(np.dot(w, v))
     constancy = (v.max() - v.min()) / mean if mean > 0 else np.inf

@@ -97,6 +97,8 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     # a start whose L^q moment overflows: the projection has no q-th root
     ("minimize", {"init": {"amplitude": 1e200}}),
     ("rigidity-scan", {"init": {"amplitude": 1e200}}),
+    # beta <= 1, so a tol of 1 or more would pass at iteration 0
+    ("minimize", {"space": {"resolution": 64}, "tol": 1e300}),
 ])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -306,6 +308,15 @@ def test_io_failure_exits_3(tmp_path):
     cfg = write_config(tmp_path, {"space": {"resolution": 64},
                                   "corpus_size": 2})
     assert main(["verify-cd", "--config", cfg, "--out", str(blocker)]) == 3
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\x01b"])
+def test_control_characters_in_out_give_valid_json(tmp_path, name):
+    # the output path reaches manifest.json through the echoed config
+    out = str(tmp_path / name)
+    assert main(["bochner", "--out", out]) == 0
+    manifest = read_manifest(out)
+    assert manifest["config"]["output_dir"] == out
 
 
 def test_missing_lapack_exits_3_without_traceback(tmp_path, capsys,

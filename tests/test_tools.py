@@ -1,5 +1,6 @@
 """tools/compare_artifacts.py: same / moved / missing and the exit code;
-tools/run_commands.py: every command into its own directory."""
+tools/run_commands.py: every command into its own directory;
+tools/resolution_sweep.py: every --resolution command at each N."""
 
 import importlib.util
 import json
@@ -21,6 +22,7 @@ def _load(name):
 
 compare_artifacts = _load("compare_artifacts")
 run_commands = _load("run_commands")
+resolution_sweep = _load("resolution_sweep")
 
 
 def _write(root: Path, files: dict):
@@ -124,4 +126,34 @@ def test_run_commands_runs_every_command_at_its_defaults(tmp_path,
 def test_run_commands_usage_error(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "main", lambda argv: pytest.fail("ran"))
     assert run_commands.main(argv) == 2
+    assert "usage" in capsys.readouterr().err
+
+
+def test_resolution_sweep_records_each_command_at_each_n(tmp_path):
+    out = tmp_path / "sweep"
+    assert resolution_sweep.main([str(out), "64"]) == 0
+    sweep = json.loads((out / "resolution_sweep.json").read_text(
+        encoding="utf-8"))
+    assert list(sweep) == [name for name, command in cli.COMMANDS.items()
+                           if command.resolution]
+    for name, runs in sweep.items():
+        assert list(runs) == ["64"]
+        manifest = json.loads((out / name / "64" / "manifest.json").read_text(
+            encoding="utf-8"))
+        assert manifest["config"]["output_dir"] == str(out / name / "64")
+        assert runs["64"]["exit_code"] == (manifest["status"] != "pass")
+        assert runs["64"]["checks"] == {
+            check["name"]: {key: check[key]
+                            for key in ("passed", "measured", "tolerance")}
+            for check in manifest["checks"]}
+    # the runs take the given N: one CSV row per cell, after the header
+    csv = (out / "minimize" / "64" / "minimizer.csv").read_text(
+        encoding="utf-8")
+    assert csv.count("\n") == 1 + 64
+
+
+@pytest.mark.parametrize("argv", [[], ["out", "4k"], ["out", "-64"]])
+def test_resolution_sweep_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "main", lambda argv: pytest.fail("ran"))
+    assert resolution_sweep.main(argv) == 2
     assert "usage" in capsys.readouterr().err

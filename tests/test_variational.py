@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from cdsobolev import build_space, integrate, lq_norm
+from cdsobolev import build_space, integrate, lq_norm, variational
 from cdsobolev.errors import InvalidConfig, InvalidExponent, InvalidParameter, NonPositiveField
-from cdsobolev.model_space import apply_L, apply_stiffness, fv_stiffness
-from cdsobolev.variational import (MinimizeOptions, a_star,
+from cdsobolev.model_space import (apply_L, apply_stiffness, fv_stiffness,
+                                   tridiagonal_solve)
+from cdsobolev.variational import (MinimizeOptions, a_star, critical_exponent,
                                    gamma2_identity_terms,
                                    minimize_subcritical, pressure_pde_residual,
                                    pressure_transform, rigidity_scan,
@@ -115,6 +116,11 @@ def test_minimize_validation(sphere512, bump_init):
     with pytest.raises(InvalidParameter):
         minimize_subcritical(sphere512, 1.0, 5.0,
                              sphere512.field(np.zeros(512)))
+    # beta <= 1 by construction: tol >= 1 passes at once, tol <= 0 never
+    for tol in (1e300, 1.0, 0.0, -1.0, np.nan):
+        with pytest.raises(InvalidParameter, match="tol"):
+            minimize_subcritical(sphere512, 1.0, 5.0, bump_init,
+                                 MinimizeOptions(tol=tol))
 
 
 def test_pressure_transform_round_trip(sphere512, constant_report):
@@ -296,6 +302,60 @@ def test_near_bifurcation_jacobi():
     below = minimize_subcritical(space, 0.995 * a_bif, 3.0, init)
     assert above.constancy <= 1e-6
     assert below.constancy > 0.1
+
+
+def _two_column_step(wh_bands, w, q, v, r, cgrad, kappa):
+    """The bordered Newton step from H [a b] = [-r, grad C], two columns."""
+    lower, diag0, upper = wh_bands
+    diag = diag0 - kappa * q * (q - 1.0) * v ** (q - 2.0)
+    a, b = tridiagonal_solve(lower, diag, upper,
+                             np.column_stack([-r, cgrad]) / w[:, None]).T
+    d_kappa = (1.0 - w @ v ** q - cgrad @ a) / (cgrad @ b)
+    dv = a + d_kappa * b
+    return dv, float(dv @ (d_kappa * cgrad - r))
+
+
+@pytest.mark.parametrize("kind, d, n, q", [("sphere_radial", 3, 3.0, 5.0),
+                                           ("jacobi", 2, 4.5, 3.0)])
+@pytest.mark.parametrize("below", [True, False])
+def test_newton_step_is_the_two_column_bordered_step(monkeypatch, kind, d,
+                                                     n, q, below):
+    # at every iterate the loop visits, below A_bif = (q-2)/lambda_1 (a
+    # bump) or above A* (the constant), one solve gives the bordered step
+    space = build_space(kind, d, n, 512)
+    a_bif = (q - 2.0) / (n * space.rho / (n - 1.0))
+    A = 0.5 * a_bif if below else \
+        1.5 * a_star(critical_exponent(q), space.rho)
+    solves, steps = [], []
+
+    def solve(lower, diag, upper, b):
+        solves.append(np.ndim(b))
+        return tridiagonal_solve(lower, diag, upper, b)
+
+    newton_step = variational._newton_step
+
+    def recorded(*args):
+        first = len(solves)
+        out = newton_step(*args)
+        steps.append((args, out, solves[first:]))
+        return out
+
+    monkeypatch.setattr(variational, "tridiagonal_solve", solve)
+    monkeypatch.setattr(variational, "_newton_step", recorded)
+    rep = minimize_subcritical(space, A, q,
+                               space.field(1.0 + 0.4 * np.cos(space.grid)))
+    assert rep.converged and (rep.constancy > 0.1) == below
+    assert len(steps) == rep.iterations
+    eps = np.finfo(float).eps
+    for args, (dv, curvature), ndims in steps:
+        assert ndims == [1]                    # one solve, one column
+        ref, ref_curvature = _two_column_step(*args)
+        # the bordering row's 1 - C(v) is summed two ways (w.v^q and
+        # grad C.v/q): a few roundoffs of C = 1 move dv by ~eps |v|
+        v = args[3]
+        assert np.abs(dv - ref).max() <= (1e-10 * np.abs(ref).max()
+                                          + 16.0 * eps * v.max())
+        assert abs(curvature - ref_curvature) <= 1e-10 * abs(ref_curvature)
 
 
 def test_backward_error_with_vanishing_cells(sphere512, bump_init):
