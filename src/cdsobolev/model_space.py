@@ -17,15 +17,15 @@ W' is evaluated analytically as -(n-1) cot(theta), once per space, never by
 differencing W.
 
 ``ModelSpace.field`` is the one boundary from values to a ``ScalarField``:
-one owned, read-only float copy; only a scalar (0-d) is broadcast, any other
-shape than the grid's raises ``SpaceMismatch``, a non-finite ``InvalidConfig``.
+one owned, read-only float copy of grid-shaped values; any other shape, a
+scalar included, raises ``SpaceMismatch``, a non-finite ``InvalidConfig``.
 
 The finite-volume stiffness S lives here only.  ``build_space`` evaluates
 its face weights c_f = sin^{n-1}(theta_f)/(Z h) once, and they give S's
 bands and stencil and the face sum u^T S v, the one integrated Gamma.  Its
-solve is one LAPACK gtsv call, made through ctypes into the OpenBLAS that
-numpy >= 2 wheels bundle and numpy has already loaded; the symbol is looked
-up on the first solve, so the commands that never solve never touch it.
+solve, of one vector b, is one LAPACK gtsv call through ctypes into the
+OpenBLAS that numpy >= 2 wheels bundle and numpy has already loaded; the
+symbol is bound on the first solve: commands that never solve never touch it.
 """
 
 from __future__ import annotations
@@ -70,19 +70,13 @@ class ModelSpace:
         return (self.kind, self.d, float(self.n), self.resolution)
 
     def field(self, values) -> "ScalarField":
-        """One owned, read-only float copy of ``values`` as a field; only a
-        scalar (0-d) is broadcast, other shapes raise ``SpaceMismatch``."""
+        """One owned, read-only float copy of the grid-shaped ``values`` as a
+        field; any other shape raises ``SpaceMismatch``."""
         try:
             vals = np.array(values, dtype=float)
         except ValueError as exc:  # a ragged nesting has no grid shape
             raise SpaceMismatch(f"field values: {exc}") from None
-        if vals.ndim == 0:
-            vals = np.full(self.grid.shape, vals)
         return ScalarField(vals, self)
-
-    def field_from_function(self, fn) -> "ScalarField":
-        """Sample a callable of theta on the grid."""
-        return self.field(fn(self.grid))
 
 
 @dataclass(frozen=True)
@@ -301,19 +295,19 @@ def _load_gtsv():
 
 
 def tridiagonal_solve(lower, diag, upper, b) -> np.ndarray:
-    """T^{-1} b for the tridiagonal T, in one LAPACK gtsv call.
+    """T^{-1} b for the tridiagonal T and a vector b, in one gtsv call.
 
-    b may be a vector or an N x k array, k >= 1; x has b's shape, and is
-    Fortran-ordered for k columns.  gtsv overwrites its operands, so it
-    works on copies: one buffer of the three bands and one of b.  Raises
+    gtsv overwrites its operands, so it works on copies: one buffer of the
+    three bands and one of b, which it returns as x.  Raises
     ``SingularMatrix`` on a zero pivot; ``InvalidParameter`` for N < 3 or
-    shapes that do not fit; ``OSError`` if numpy has no LAPACK to call.
+    shapes that do not fit, a 2-D or empty b included; ``OSError`` if numpy
+    has no LAPACK to call.
     """
     n = len(diag)
     bands = np.concatenate((lower, diag, upper), dtype=float)
-    x = np.array(b, dtype=float, order="F")
-    # the shapes bound every pointer below: 3N - 2 band and N k b entries
-    if not (bands.ndim == 1 and x.ndim in (1, 2) and x.size
+    x = np.array(b, dtype=float)
+    # the shapes bound every pointer below: 3N - 2 band and N b entries
+    if not (bands.ndim == 1 and x.ndim == 1
             and 3 <= n == len(lower) + 1 == len(upper) + 1 == len(x)):
         raise InvalidParameter(
             f"tridiagonal system of size N = {n} (N >= 3): bands of "
@@ -321,9 +315,9 @@ def tridiagonal_solve(lower, diag, upper, b) -> np.ndarray:
     gtsv = _gtsv or _load_gtsv()
     dl = c_double.from_buffer(bands)
     size, info = c_int64(n), c_int64()
-    gtsv(byref(size), byref(c_int64(x.size // n)), byref(dl),
-         byref(dl, 8 * (n - 1)), byref(dl, 8 * (2 * n - 1)),
-         byref(c_double.from_buffer(x.T)), byref(size), byref(info))
+    gtsv(byref(size), byref(c_int64(1)), byref(dl), byref(dl, 8 * (n - 1)),
+         byref(dl, 8 * (2 * n - 1)), byref(c_double.from_buffer(x)),
+         byref(size), byref(info))
     if info.value != 0:
         raise SingularMatrix(f"tridiagonal solve: gtsv info = {info.value}")
     return x

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameter
-from .model_space import ModelSpace, ScalarField
+from .model_space import ModelSpace
 
 FLOAT_FORMAT = "%.17g"
 
@@ -109,11 +109,10 @@ def write_json(path: str, obj) -> None:
 
 
 def write_field_csv(path: str, space: ModelSpace, columns: dict) -> None:
-    """CSV with a theta column followed by one column per named field."""
-    arrays = [col.values if isinstance(col, ScalarField) else col
-              for col in columns.values()]
-    write_text(path, csv_text(["theta", *columns],
-                              np.column_stack([space.grid, *arrays])))
+    """CSV with a theta column followed by one column per named
+    ``ScalarField``."""
+    write_text(path, csv_text(["theta", *columns], np.column_stack(
+        [space.grid, *(f.values for f in columns.values())])))
 
 
 def _ticks(lo: float, hi: float, count: int = 5):

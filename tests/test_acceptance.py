@@ -107,6 +107,25 @@ def test_determinism(tmp_path, monkeypatch):
     for name in trees["a"]:
         assert trees["a"][name] == trees["b"][name], name
     expect(acceptance.check_determinism(tmp_path))
+    # one byte that differs between the two bundles fails the check
+    bundle, runs = acceptance._mini_bundle, []
+
+    def one_byte_off(out_dir, seed):
+        bundle(out_dir, seed)
+        runs.append(out_dir)
+        if len(runs) == 2:
+            path = os.path.join(out_dir, "fast_diffusion.csv")
+            with open(path, "rb") as fh:
+                data = bytearray(fh.read())
+            data[-2] ^= 1                       # the last digit
+            with open(path, "wb") as fh:
+                fh.write(data)
+
+    monkeypatch.setattr(acceptance, "_mini_bundle", one_byte_off)
+    result = acceptance.check_determinism(tmp_path)
+    assert not result.passed and result.measured == 1.0
+    with open(tmp_path / "determinism.json", encoding="utf-8") as fh:
+        assert json.load(fh)["match"] is False
 
 
 def test_full_suite_manifest(tmp_path):

@@ -272,6 +272,17 @@ def test_resolution_flag_overrides_config(tmp_path):
     assert len(rows) == 65                         # header + 64 grid cells
 
 
+def test_fast_diffusion_passes_at_resolution_16384(tmp_path):
+    # the records are relative entropies: differences of the O(1) absolute
+    # R_alpha put the dissipation residual at 1.84e-3 here
+    out = str(tmp_path / "out")
+    assert main(["flow-fast-diffusion", "--out", out,
+                 "--resolution", "16384"]) == 0
+    [check] = read_manifest(out)["checks"]
+    assert check["name"] == "fast_diffusion_flow" and check["passed"]
+    assert check["measured"] < 1e-3
+
+
 def test_critical_limit_single_entry_warns(tmp_path, capsys):
     cfg = write_config(tmp_path, {"space": {"resolution": 128},
                                   "q_list": [5.0]})

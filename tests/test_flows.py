@@ -434,7 +434,7 @@ def test_hessian_quadform_oracle(sphere):
     assert renyi_hessian_quadform(sphere, ones, 2.0 / 3.0, const) == 0.0
     # closed form 3 (1 - int cos^2 dnu) = 9/4 at (mu=1, phi=cos, alpha=2/3)
     val = renyi_hessian_quadform(sphere, ones, 2.0 / 3.0,
-                                 sphere.field_from_function(np.cos))
+                                 sphere.field(np.cos(sphere.grid)))
     assert abs(val - 2.25) <= 1e-3
 
 
@@ -552,7 +552,7 @@ def test_fast_diffusion_equilibrium_start(sphere):
     trace = fast_diffusion_flow(sphere, sphere.field(np.ones(256)),
                                 2.0 / 3.0, T=1.0)
     assert trace.grad_norm_sq[-1] <= 1e-12
-    assert abs(trace.entropy[-1] + 4.5) <= 1e-14
+    assert abs(trace.entropy[-1]) <= 1e-14   # R_alpha(mu) - R_alpha(1)
     # the gradient is below GRAD_STOP from the start; the flow stops once
     # it holds the five records of the stencils
     assert trace.stop_reason == "grad_stop" and len(trace.times) == 5
@@ -573,7 +573,7 @@ NON_FINITE_ENTRIES = {
         **{"Q": np.eye(2), "rho": 1.0, **kw})),
     "minimize_subcritical": (InvalidParameter, ("A",),
                              lambda space, **kw: minimize_subcritical(
-        space, q=2.5, init=space.field(1.0), **kw)),
+        space, q=2.5, init=space.field(np.ones(space.resolution)), **kw)),
 }
 
 
@@ -642,7 +642,7 @@ def test_fast_diffusion_structure(sphere):
     assert (trace.dissipation_residual / scale).max() <= 1e-3
     # equilibrium limits
     assert trace.sup_distance[-1] <= 1e-4
-    assert abs(e[-1] + 4.5) <= 1e-6
+    assert abs(e[-1]) <= 1e-6
 
 
 def test_fast_diffusion_step_refinement():
@@ -671,7 +671,9 @@ def test_fast_diffusion_matches_explicit_reference(kind, d, n):
     m = np.array(mu.values)
     for _ in range(steps):
         m = _rk4_step(lambda v: lap(v ** alpha) / alpha, m, T / steps)
-    ref = np.dot(space.quad_weights, m ** alpha) / (alpha * (alpha - 1.0))
+    # R_alpha(m) - R_alpha(1), summed term by term
+    ref = np.dot(space.quad_weights, m ** alpha - 1.0 - alpha * (m - 1.0)) \
+        / (alpha * (alpha - 1.0))
     trace = fast_diffusion_flow(space, mu, alpha, T=T, dt=0.00125)
     assert abs(trace.entropy[-1] - ref) <= 1e-7
 

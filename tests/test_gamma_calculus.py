@@ -11,14 +11,14 @@ from cdsobolev.errors import InvalidConfig, UnsupportedKind
 
 def test_cd_equality_witness_sphere():
     space = build_space("sphere_radial", 3, 3.0, 512)
-    rep = cd_margin(space, space.field_from_function(np.cos))
+    rep = cd_margin(space, space.field(np.cos(space.grid)))
     assert abs(rep.cd_margin_min) <= 5e-3
     assert space.rho == 2.0 and space.n == 3.0
 
 
 def test_cd_equality_witness_jacobi():
     space = build_space("jacobi", 2, 4.5, 512)
-    rep = cd_margin(space, space.field_from_function(np.cos))
+    rep = cd_margin(space, space.field(np.cos(space.grid)))
     assert abs(rep.cd_margin_min) <= 5e-3
 
 
@@ -26,7 +26,8 @@ def test_cd_margin_second_order_refinement():
     vals = {}
     for N in (256, 512):
         space = build_space("sphere_radial", 3, 3.0, N)
-        vals[N] = cd_margin(space, space.field_from_function(np.cos)).cd_margin_min
+        vals[N] = cd_margin(space,
+                            space.field(np.cos(space.grid))).cd_margin_min
     assert abs(vals[256]) / abs(vals[512]) >= 3.0
 
 
@@ -73,7 +74,7 @@ def test_bochner_residual_second_order():
 def test_bochner_sphere_only():
     space = build_space("jacobi", 2, 4.5, 128)
     with pytest.raises(UnsupportedKind):
-        bochner_residual(space, space.field_from_function(np.cos))
+        bochner_residual(space, space.field(np.cos(space.grid)))
 
 
 def test_cauchy_schwarz_margin_nonnegative():
@@ -83,5 +84,5 @@ def test_cauchy_schwarz_margin_nonnegative():
         f = trig_poly_field(space, rng)
         assert cauchy_schwarz_margin(space, f).values.min() >= -1e-3
     # equality case: cos has proportional Hessian
-    eq = cauchy_schwarz_margin(space, space.field_from_function(np.cos))
+    eq = cauchy_schwarz_margin(space, space.field(np.cos(space.grid)))
     assert np.abs(eq.values).max() <= 1e-4

@@ -80,12 +80,12 @@ def test_subnormal_weights_are_kept():
 
 def test_field_immutability_and_space_mismatch():
     space = build_space("sphere_radial", 3, 3.0, 64)
-    f = space.field_from_function(np.cos)
+    f = space.field(np.cos(space.grid))
     with pytest.raises(ValueError):
         f.values[0] = 2.0
     other = build_space("sphere_radial", 3, 3.0, 128)
     with pytest.raises(SpaceMismatch):
-        gamma(space, f, other.field_from_function(np.cos))
+        gamma(space, f, other.field(np.cos(other.grid)))
 
 
 BOUNDARY_SPACES = pytest.mark.parametrize(
@@ -116,14 +116,15 @@ def test_field_boundary_copies_and_validates(kind, d, n, N, seed):
     with pytest.raises(ValueError):
         f.values[rng.integers(N)] = 0.0           # read-only
     c = float(rng.uniform(-2.0, 2.0))
-    for scalar in (c, np.float64(c), np.array(c)):
-        assert np.array_equal(space.field(scalar).values, np.full(N, c))
+    for scalar in (c, np.float64(c), np.array(c)):  # no broadcast
+        with pytest.raises(SpaceMismatch):
+            space.field(scalar)
     for bad in (np.inf, -np.inf, np.nan):
         vals = kept.copy()
         vals[rng.integers(N)] = bad
         with pytest.raises(InvalidConfig):
             space.field(vals)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(SpaceMismatch):
             space.field(bad)
     # finite data whose sum overflows is still finite data
     assert np.all(space.field(np.full(N, 1e308)).values == 1e308)
@@ -158,7 +159,8 @@ def test_field_space_identity_and_gamma_of_one_field(kind, d, n, N, seed):
                   build_space("jacobi" if kind == "sphere_radial"
                               else "sphere_radial", 3, 3.0, N)):
         with pytest.raises(SpaceMismatch):
-            _check_same_space(space, other.field(f.values[0]))
+            _check_same_space(
+                space, other.field(np.full(other.resolution, f.values[0])))
 
 
 def test_rho_assignment():
@@ -172,7 +174,7 @@ def test_eigenfunction_property_second_order(kind, d, n):
     errs = {}
     for N in (256, 512):
         space = build_space(kind, d, n, N)
-        f = space.field_from_function(np.cos)
+        f = space.field(np.cos(space.grid))
         resid = apply_L(space, f).values + n * f.values
         errs[N] = np.abs(resid).max()
     assert errs[512] <= 1e-3
@@ -214,7 +216,7 @@ def test_gamma2_refinement_second_order():
     errs = {}
     for N in (256, 512):
         space = build_space("sphere_radial", 3, 3.0, N)
-        g2 = gamma2(space, space.field_from_function(np.cos)).values
+        g2 = gamma2(space, space.field(np.cos(space.grid))).values
         errs[N] = np.abs(g2 - (2.0 + np.cos(space.grid) ** 2)).max()
     assert errs[512] <= 5e-3
     assert errs[256] / errs[512] >= 3.0
@@ -262,7 +264,7 @@ def test_padded_stencils_match_rows(kind, d, n, N):
 
 def test_moment_oracles():
     space = build_space("sphere_radial", 3, 3.0, 256)
-    c = space.field_from_function(np.cos)
+    c = space.field(np.cos(space.grid))
     assert abs(integrate(space, c)) <= 1e-14
     # int cos^2 dnu = (pi/8)/(pi/2) = 1/4; midpoint rule is exact on this
     # low-degree periodic integrand
@@ -326,7 +328,7 @@ def test_tridiagonal_solver_matches_dense_solve(name, args):
         eigs = np.linalg.eigvalsh(T)
         assert eigs.min() < 0.0 < eigs.max()
     rng = np.random.default_rng(11)
-    for b in (rng.standard_normal(len(T)), rng.standard_normal((len(T), 2))):
+    for b in rng.standard_normal((2, len(T))):
         x = tridiagonal_solve(*args, b)
         ref = np.linalg.solve(T, b)
         assert x.shape == b.shape
@@ -348,12 +350,13 @@ def test_tridiagonal_solve_matches_gttrf_gttrs_bitwise(name, args):
     if N == 2048:
         assert swaps > 1000
     rng = np.random.default_rng(N)
-    two = rng.standard_normal((N, 2))
-    for b in (rng.standard_normal(N), two, np.asfortranarray(two)):
+    for b in rng.standard_normal((2, N)):
         x = tridiagonal_solve(*args, b)
         assert x.shape == b.shape
-        assert np.array_equal(x, lapack.dgttrs(*factor, b)[0])
-        assert np.array_equal(x, lapack.dgtsv(*args, b)[3])
+        # scipy's wrappers take b as an N x 1 column
+        column = b[:, None]
+        assert np.array_equal(x, lapack.dgttrs(*factor, column)[0][:, 0])
+        assert np.array_equal(x, lapack.dgtsv(*args, column)[3][:, 0])
 
 
 def test_tridiagonal_solver_singular_raises():
@@ -386,6 +389,7 @@ def test_tridiagonal_solver_rejects_fewer_than_three_unknowns():
     ([1.0, 1.0], [1.0, 1.0], np.ones((3, 2, 1))),
     ([1.0, 1.0], [1.0, 1.0], 1.0),
     ([1.0, 1.0], [1.0, 1.0], np.ones((3, 0))),   # gtsv writes a column anyway
+    ([1.0, 1.0], [1.0, 1.0], np.ones((3, 2))),   # one vector b, no columns
 ])
 def test_tridiagonal_solve_rejects_mismatched_lengths(lower, upper, b):
     with pytest.raises(InvalidParameter, match="of size N = 3 "):
@@ -415,12 +419,12 @@ def test_tridiagonal_solve_leaves_its_inputs_unchanged():
     diag = 3.0 + rng.uniform(0, 1, N)
     T = dense_tridiagonal(lower, diag, upper)
     two = rng.standard_normal((N, 2))
-    for b in (two[:, 0].copy(), two, np.asfortranarray(two)):
+    for b in (two[:, 0].copy(), two[:, 1]):       # contiguous and strided
         inputs = (lower, diag, upper, b)
         kept = [a.copy() for a in inputs]
         x = tridiagonal_solve(*inputs)
         assert all(np.array_equal(a, k) for a, k in zip(inputs, kept))
-        assert x.shape == b.shape and x.flags.f_contiguous
+        assert x.shape == b.shape and x.flags.c_contiguous
         assert np.abs(T @ x - b).max() <= 1e-14
     # lists and strided views of the same numbers give the same bits
     x = tridiagonal_solve(lower, diag, upper, two[:, 0].copy())

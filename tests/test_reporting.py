@@ -258,13 +258,13 @@ def test_field_csv_matches_the_per_cell_reference(tmp_path, seed):
     rng = np.random.default_rng(300 + seed)
     space = build_space("sphere_radial", 3, 3.0, 16 + 17 * seed)
     f = space.field(rng.standard_normal(space.resolution) * 1e3)
-    raw = rng.standard_normal(space.resolution)
+    g = space.field(rng.standard_normal(space.resolution))
     path = tmp_path / "field.csv"
-    write_field_csv(str(path), space, {"f": f, "raw": raw})
-    rows = ((float(space.grid[i]), float(f.values[i]), float(raw[i]))
+    write_field_csv(str(path), space, {"f": f, "g": g})
+    rows = ((float(space.grid[i]), float(f.values[i]), float(g.values[i]))
             for i in range(space.resolution))
     assert path.read_bytes() \
-        == ref_csv_text(["theta", "f", "raw"], rows).encode("utf-8")
+        == ref_csv_text(["theta", "f", "g"], rows).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,8 @@ def test_grad_norm_sq_is_the_stiffness_form(kind, d, n, N, seed):
     scale = np.abs(v) @ apply_stiffness(abs_bands, np.abs(v))
     assert abs(grad_norm_sq(space, space.field(v))
                - v @ apply_stiffness(bands, v)) <= 1e-15 * scale
-    const = grad_norm_sq(space, space.field(rng.uniform(0.1, 10.0)))
+    const = grad_norm_sq(space,
+                         space.field(np.full(N, rng.uniform(0.1, 10.0))))
     assert const == 0.0 and np.copysign(1.0, const) == 1.0
 
 

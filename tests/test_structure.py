@@ -207,24 +207,46 @@ print(json.dumps({"rc": rc, "loaded": state, "err": err}))
 """
 
 
-def test_cold_import_leaves_lapack_unloaded(tmp_path):
-    # a fresh interpreter: this process has scipy loaded by the tests that
-    # use it as a reference
+def _run_fresh(code: str, out_dir) -> dict:
+    """The JSON last line that ``code`` prints in a fresh interpreter, given
+    ``out_dir`` as its argument: this process has scipy loaded by the tests
+    that use it as a reference."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + ([env["PYTHONPATH"]]
                                  if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", code, str(out_dir)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cold_import_leaves_lapack_unloaded(tmp_path):
+    result = _run_fresh(_COLD_IMPORT, tmp_path)
     assert result["rc"] == 0
     assert result["loaded"] == {
         "import": {"gtsv": False, "scipy": []},
         "verify-cd": {"gtsv": False, "scipy": []},
         "solve": {"gtsv": True, "scipy": []}}
     assert result["err"] < 1e-14
+
+
+_MINIMIZE = """
+import json, sys
+from cdsobolev import cli
+rc = cli.main(["minimize", "--out", sys.argv[1]])
+print(json.dumps({"rc": rc, "loaded": sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("scipy", "hashlib", "_hashlib"))}))
+"""
+
+
+def test_minimize_loads_neither_scipy_nor_hashlib(tmp_path):
+    # the solve binds numpy's own LAPACK, and the determinism check compares
+    # bytes, not digests: a command that draws no random numbers loads
+    # neither scipy nor OpenSSL
+    assert _run_fresh(_MINIMIZE, tmp_path) == {"rc": 0, "loaded": []}
 
 
 def test_cli_names_no_artifact_and_imports_no_writer():

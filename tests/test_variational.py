@@ -305,11 +305,12 @@ def test_near_bifurcation_jacobi():
 
 
 def _two_column_step(wh_bands, w, q, v, r, cgrad, kappa):
-    """The bordered Newton step from H [a b] = [-r, grad C], two columns."""
+    """The bordered Newton step from H [a b] = [-r, grad C], one solve for
+    each of the two columns."""
     lower, diag0, upper = wh_bands
     diag = diag0 - kappa * q * (q - 1.0) * v ** (q - 2.0)
-    a, b = tridiagonal_solve(lower, diag, upper,
-                             np.column_stack([-r, cgrad]) / w[:, None]).T
+    a, b = (tridiagonal_solve(lower, diag, upper, col / w)
+            for col in (-r, cgrad))
     d_kappa = (1.0 - w @ v ** q - cgrad @ a) / (cgrad @ b)
     dv = a + d_kappa * b
     return dv, float(dv @ (d_kappa * cgrad - r))
