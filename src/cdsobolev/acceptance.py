@@ -467,7 +467,7 @@ def check_hessian_formula(out_dir, seed=0) -> CheckResult:
 def check_entropy_sobolev_equivalence(out_dir, seed=0,
                                       resolution=1024) -> CheckResult:
     rows = []
-    worst_margin, worst_bridge = 0.0, 0.0
+    worst_margin, worst_bridge = np.inf, 0.0
     # the sphere deficit corpus, at the given resolution
     for i, space, f in _corpus(_spheres(resolution), 100, seed):
         q = critical_exponent(space.n)

@@ -21,7 +21,7 @@ import numpy as np
 from . import acceptance
 from .errors import (InvalidAlpha, InvalidConfig, InvalidExponent,
                      InvalidParameter, NonPositiveField,
-                     NotAProbabilityDensity, SpaceMismatch, UnsupportedKind)
+                     NotAProbabilityDensity, SpaceMismatch)
 from .model_space import ModelSpace, build_space
 from .sobolev import critical_exponent, extremal_field
 # critical_limit_sweep is re-exported: benchmarks/workloads.py runs the sweep
@@ -29,8 +29,8 @@ from .sobolev import critical_exponent, extremal_field
 from .variational import MinimizeOptions, critical_limit_sweep  # noqa: F401
 
 CONFIG_ERRORS = (InvalidConfig, InvalidExponent, InvalidParameter,
-                 UnsupportedKind, InvalidAlpha, SpaceMismatch,
-                 NonPositiveField, NotAProbabilityDensity)
+                 InvalidAlpha, SpaceMismatch, NonPositiveField,
+                 NotAProbabilityDensity)
 
 SPACE_KEYS = {"kind", "d", "n", "resolution"}
 

@@ -13,10 +13,6 @@ class SpaceMismatch(ToolkitError):
     """A field was used on a space it does not live on."""
 
 
-class UnsupportedKind(ToolkitError):
-    """Operation not defined for this model-space kind."""
-
-
 class InvalidExponent(ToolkitError):
     """Lebesgue exponent outside the admissible range."""
 

@@ -4,10 +4,10 @@ The CD(rho, n) condition is the pointwise inequality
 
     Gamma_2(f) >= rho * Gamma(f) + (Lf)^2 / n,
 
-checked here on every grid node.  On the sphere-radial model the Gamma_2
-field additionally decomposes into the squared radial Hessian norm plus the
-Ricci term; ``bochner_residual`` measures how well the discrete operators
-reproduce that decomposition.
+checked here on every grid node.  At every real n the Gamma_2 field of
+L f = f'' + (n-1) cot(theta) f' decomposes into the squared radial Hessian
+norm plus the Ricci term; ``bochner_residual`` measures how well the
+discrete operators reproduce that decomposition.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedKind
 from .model_space import (ModelSpace, ScalarField, _check_same_space, _diff1,
                           _diff2, _gamma_terms, _with_ghosts, gamma2)
 
@@ -59,28 +58,26 @@ def _radial_hessian_terms(space: ModelSpace, f: ScalarField):
 def bochner_residual(space: ModelSpace, f: ScalarField) -> float:
     """Interior sup-norm of Gamma_2(f) minus its radial Bochner bracket.
 
-    The bracket (f'')^2 + (d-1)(cot f')^2 + (d-1)(f')^2 is the analytic
-    Hessian-norm-plus-Ricci form for rotationally symmetric functions on the
-    unit round d-sphere; the residual is expected O(h^2).
+    The bracket (f'')^2 + (n-1)(cot f')^2 + (n-1)(f')^2 is the analytic
+    Hessian-norm-plus-Ricci form of Gamma_2 for L f = f'' + (n-1) cot f' at
+    real n; at n = d it is Bochner's formula for rotationally symmetric
+    functions on the unit round d-sphere.  The residual is expected O(h^2).
     """
-    if space.kind != "sphere_radial":
-        raise UnsupportedKind("bochner_residual is sphere_radial only")
     _check_same_space(space, f)
-    d = space.d
+    n = space.n
     fp, fpp, cot = _radial_hessian_terms(space, f)
-    bracket = fpp ** 2 + (d - 1.0) * (cot * fp) ** 2 + (d - 1.0) * fp ** 2
+    bracket = fpp ** 2 + (n - 1.0) * (cot * fp) ** 2 + (n - 1.0) * fp ** 2
     resid = gamma2(space, f).values - bracket
     m = INTERIOR_MARGIN
     return float(np.abs(resid[m:-m]).max())
 
 
 def cauchy_schwarz_margin(space: ModelSpace, f: ScalarField) -> ScalarField:
-    """Pointwise ||Hess f||^2 - (Delta f)^2/d in radial form; >= -O(h^2)."""
-    if space.kind != "sphere_radial":
-        raise UnsupportedKind("cauchy_schwarz_margin is sphere_radial only")
+    """Pointwise ||Hess f||^2 - (L f)^2/n in radial form, at real n; >= 0
+    up to roundoff, since it equals ((n-1)/n)(f'' - cot f')^2."""
     _check_same_space(space, f)
-    d = space.d
+    n = space.n
     fp, fpp, cot = _radial_hessian_terms(space, f)
-    hess_sq = fpp ** 2 + (d - 1.0) * (cot * fp) ** 2
-    lap = fpp + (d - 1.0) * cot * fp
-    return space.field(hess_sq - lap ** 2 / d)
+    hess_sq = fpp ** 2 + (n - 1.0) * (cot * fp) ** 2
+    lap = fpp + (n - 1.0) * cot * fp
+    return space.field(hess_sq - lap ** 2 / n)

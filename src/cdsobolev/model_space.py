@@ -325,7 +325,11 @@ def tridiagonal_solve(lower, diag, upper, b) -> np.ndarray:
 
 def weighted_laplacian_fv(space: ModelSpace):
     """L in self-adjoint finite-volume form, L_fv = -diag(w)^{-1} S, as a
-    callable: exactly mass-free and symmetric in the nu inner product."""
-    bands = fv_stiffness(space)
-    w = space.quad_weights
-    return lambda values: -apply_stiffness(bands, values) / w
+    callable: the net face flux c_f (v_{f+1} - v_f) into each cell, none
+    through the poles, over its weight; mass-free and nu-symmetric."""
+    c, w = space.faces, space.quad_weights
+
+    def apply(values):
+        flux = c * np.diff(values)
+        return np.concatenate((flux[:1], np.diff(flux), -flux[-1:])) / w
+    return apply

@@ -5,7 +5,7 @@ On a space satisfying CD(rho, n) the sharp inequality reads, with q = 2n/(n-2),
     (||v||_q^2 - ||v||_2^2) / (q - 2)  <=  (1/n) ((n-1)/rho) ||grad v||_2^2.
 
 ``sobolev_deficit`` returns both sides and their gap; the gap vanishes on
-constants and, on the sphere, on the family (beta - cos theta)^{-(d-2)/2}.
+constants and on the family (beta - cos theta)^{-(n-2)/2}, real n included.
 ``grad_norm_sq`` is v^T S v, the finite-volume form the solvers use.
 """
 
@@ -72,12 +72,10 @@ def sobolev_deficit(space: ModelSpace, v: ScalarField, q: float) -> SobolevRepor
 
 
 def extremal_field(space: ModelSpace, beta: float) -> ScalarField:
-    """The sphere extremal profile theta -> (beta - cos theta)^(-(d-2)/2)."""
-    if space.kind != "sphere_radial" or space.d < 3:
-        raise InvalidParameter("extremal family needs sphere_radial with d >= 3")
+    """The extremal profile (beta - cos theta)^(-(n-2)/2) at any n > 2."""
     if beta <= 1.0 + 1e-6:
         raise InvalidParameter(f"beta = {beta} too close to the singular value 1")
-    expo = -(space.d - 2.0) / 2.0
+    expo = -(space.n - 2.0) / 2.0
     return space.field((beta - np.cos(space.grid)) ** expo)
 
 

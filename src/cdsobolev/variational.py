@@ -39,7 +39,8 @@ from .errors import (InvalidConfig, InvalidExponent, InvalidParameter,
                      NoConvergence, NonPositiveField, SingularMatrix)
 from .model_space import (ModelSpace, ScalarField, _check_same_space,
                           _gamma_terms, _quadrature, apply_L, apply_stiffness,
-                          fv_stiffness, gamma, tridiagonal_solve)
+                          fv_stiffness, gamma, tridiagonal_solve,
+                          weighted_laplacian_fv)
 from .sobolev import a_star, critical_exponent, grad_norm_sq
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -252,10 +253,7 @@ def minimize_subcritical(space: ModelSpace, A: float, q: float,
     i_value = A * grad_norm_sq(space, vf) + _quadrature(space, v * v)
     d_prime, lam, c = subcritical_params(A, q)
     u = el_solution(v, i_value, q)
-    flux = space.faces * np.diff(u)
-    lu = np.concatenate(([flux[0] - 0.0], flux[1:] - flux[:-1],
-                         [0.0 - flux[-1]])) / w
-    el = -A * lu + u - u ** (q - 1.0)
+    el = -A * weighted_laplacian_fv(space)(u) + u - u ** (q - 1.0)
     mean = float(np.dot(w, v))
     constancy = (v.max() - v.min()) / mean if mean > 0 else np.inf
     return MinimizerReport(A=A, q=q, d_prime=d_prime, lam=lam, c=c,

@@ -190,6 +190,18 @@ def test_verify_cd_jacobi_corpus(tmp_path):
     assert summary["corpus_size"] == 50 and summary["n"] == 4.5
 
 
+@pytest.mark.parametrize("command", ["bochner", "sobolev-deficit"])
+def test_bochner_and_extremal_run_on_jacobi(tmp_path, command):
+    # the Bochner bracket and the extremal family hold at real n, so both
+    # commands pass on the jacobi model as on the sphere
+    cfg = write_config(tmp_path, {
+        "space": {"kind": "jacobi", "d": 2, "n": 4.5}})
+    out = str(tmp_path / "out")
+    assert main([command, "--config", cfg, "--out", out]) == 0
+    checks = read_manifest(out)["checks"]
+    assert len(checks) == 2 and all(c["passed"] for c in checks)
+
+
 def test_minimize_command(tmp_path):
     cfg = write_config(tmp_path, {
         "space": {"resolution": 128}, "A": 2.1, "q": 5.0})

@@ -6,7 +6,7 @@ import pytest
 from cdsobolev import (bochner_residual, build_space, cauchy_schwarz_margin,
                        cd_margin)
 from cdsobolev.acceptance import trig_poly_field
-from cdsobolev.errors import InvalidConfig, UnsupportedKind
+from cdsobolev.errors import InvalidConfig
 
 
 def test_cd_equality_witness_sphere():
@@ -62,27 +62,24 @@ def test_circle_rejected():
 
 
 def test_bochner_residual_second_order():
-    errs = {}
-    for N in (256, 512):
-        space = build_space("sphere_radial", 3, 3.0, N)
-        f = space.field(np.cos(space.grid) + 0.2 * np.cos(2 * space.grid))
-        errs[N] = bochner_residual(space, f)
-    assert errs[512] <= 1e-3
-    assert errs[256] / errs[512] >= 3.0
-
-
-def test_bochner_sphere_only():
-    space = build_space("jacobi", 2, 4.5, 128)
-    with pytest.raises(UnsupportedKind):
-        bochner_residual(space, space.field(np.cos(space.grid)))
+    # the bracket is Gamma_2 of L at real n: jacobi refines like the sphere
+    for kind, d, n in (("sphere_radial", 3, 3.0), ("jacobi", 2, 4.5)):
+        errs = {}
+        for N in (256, 512):
+            space = build_space(kind, d, n, N)
+            f = space.field(np.cos(space.grid) + 0.2 * np.cos(2 * space.grid))
+            errs[N] = bochner_residual(space, f)
+        assert errs[512] <= 1e-3, kind
+        assert errs[256] / errs[512] >= 3.0, kind
 
 
 def test_cauchy_schwarz_margin_nonnegative():
-    rng = np.random.default_rng(13)
-    space = build_space("sphere_radial", 4, 4.0, 512)
-    for _ in range(10):
-        f = trig_poly_field(space, rng)
-        assert cauchy_schwarz_margin(space, f).values.min() >= -1e-3
-    # equality case: cos has proportional Hessian
-    eq = cauchy_schwarz_margin(space, space.field(np.cos(space.grid)))
-    assert np.abs(eq.values).max() <= 1e-4
+    for kind, d, n in (("sphere_radial", 4, 4.0), ("jacobi", 2, 4.5)):
+        rng = np.random.default_rng(13)
+        space = build_space(kind, d, n, 512)
+        for _ in range(10):
+            f = trig_poly_field(space, rng)
+            assert cauchy_schwarz_margin(space, f).values.min() >= -1e-3
+        # equality case: cos has proportional Hessian
+        eq = cauchy_schwarz_margin(space, space.field(np.cos(space.grid)))
+        assert np.abs(eq.values).max() <= 1e-4, kind

@@ -94,14 +94,21 @@ def test_constants_saturate():
     assert abs(rep.deficit) <= 1e-14
 
 
-@pytest.mark.parametrize("d", [3, 4])
+# the family saturates at every n > 2: the sphere's integer n = d and the
+# jacobi model's real n alike
+@pytest.mark.parametrize("kind, d, n", [
+    pytest.param("sphere_radial", 3, 3.0, id="3"),
+    pytest.param("sphere_radial", 4, 4.0, id="4"),
+    pytest.param("jacobi", 2, 3.5, id="jacobi-3.5"),
+    pytest.param("jacobi", 2, 4.5, id="jacobi-4.5"),
+    pytest.param("jacobi", 2, 6.0, id="jacobi-6.0")])
 @pytest.mark.parametrize("beta", [1.5, 2.0, 4.0])
-def test_extremal_saturation_and_refinement(d, beta):
+def test_extremal_saturation_and_refinement(kind, d, n, beta):
     rels = {}
     for N in (512, 1024):
-        space = build_space("sphere_radial", d, float(d), N)
+        space = build_space(kind, d, n, N)
         rep = sobolev_deficit(space, extremal_field(space, beta),
-                              critical_exponent(float(d)))
+                              critical_exponent(n))
         rels[N] = abs(rep.deficit_rel)
     assert rels[1024] <= 1e-3
     assert rels[512] / rels[1024] >= 3.0
@@ -111,17 +118,6 @@ def test_extremal_field_validation():
     sphere = build_space("sphere_radial", 3, 3.0, 128)
     with pytest.raises(InvalidParameter):
         extremal_field(sphere, 1.0)                   # singular beta
-    jac = build_space("jacobi", 2, 4.5, 128)
-    with pytest.raises(InvalidParameter):
-        extremal_field(jac, 2.0)                      # sphere-only family
-
-
-def test_jacobi_extremal_not_asserted_zero():
-    # for real n the transplanted profile is recorded, not an equality case
-    space = build_space("jacobi", 2, 4.5, 1024)
-    prof = space.field((2.0 - np.cos(space.grid)) ** (-(space.n - 2.0) / 2.0))
-    rep = sobolev_deficit(space, prof, critical_exponent(space.n))
-    assert rep.deficit >= -1e-6 * (1.0 + rep.rhs)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -339,16 +339,20 @@ CENTERED = {"gamma", "apply_L", "_apply_L", "_diff1", "_with_ghosts",
 
 def test_integrated_energies_use_the_finite_volume_form():
     # every integrated Gamma goes through the face weights of S: a centered
-    # stencil here would report an energy other than the one minimized
+    # stencil here would report an energy other than the one minimized; the
+    # report's L_fv is weighted_laplacian_fv, which takes the face weights
     minimize = _function("variational", "minimize_subcritical").body
     loop = max(i for i, stmt in enumerate(minimize)
                if isinstance(stmt, ast.For))
+    l_fv = _function("model_space", "weighted_laplacian_fv")
     for name, nodes, form in (
             ("grad_norm_sq", [_function("sobolev", "grad_norm_sq")],
              "_dirichlet_form"),
             ("_otto_grad_norm_sq", [_function("flows", "_otto_grad_norm_sq")],
              "_dirichlet_form"),
-            ("minimize_subcritical report", minimize[loop + 1:], "faces")):
+            ("weighted_laplacian_fv", [l_fv], "faces"),
+            ("minimize_subcritical report", minimize[loop + 1:],
+             "weighted_laplacian_fv")):
         refs = _referenced(nodes)
         assert refs & CENTERED == set() and form in refs, name
 
@@ -357,6 +361,17 @@ def test_face_weights_have_one_home():
     # build_space evaluates the face weights once; S is built from them
     refs = _referenced([_function("model_space", "fv_stiffness")])
     assert "sin" not in refs and "faces" in refs
+
+
+def test_library_reads_no_kind_and_no_d():
+    # every formula reads the effective dimension n, so both model kinds
+    # take one code path; kind and d are labels that build_space checks and
+    # ModelSpace.key compares
+    modules = _modules()
+    for name in LIBRARY:
+        owners = _owners(modules[name], lambda node: isinstance(
+            node, ast.Attribute) and node.attr in {"kind", "d"})
+        assert set(owners) <= {"build_space", "key"}, (name, owners)
 
 
 def test_fd_flow_steps_without_evaluating():
@@ -410,7 +425,6 @@ NO_SRC_CALLER = {
     "renyi_entropy": "test oracle: the Renyi entropy's closed forms",
     "renyi_grad_norm_sq": "test oracle: the Otto norm's quadratic "
                           "vanishing and its substitution",
-    "weighted_laplacian_fv": "benchmarks/tracing.py binds it by name",
     "convexity_relation_margin": "the Sobolev-deficit flow check is to "
                                  "call it (ROADMAP item 3)",
 }
