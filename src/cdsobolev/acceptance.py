@@ -617,7 +617,7 @@ def run_bochner(out_dir, space, tolerance):
                         "and the radial Hessian-plus-Ricci bracket"),
             CheckResult("hessian_cauchy_schwarz", cs_min >= -tolerance,
                         cs_min, -tolerance,
-                        "pointwise ||Hess||^2 - (Delta f)^2/d")]
+                        "pointwise ||Hess f||^2 - (L f)^2/n")]
 
 
 def run_sobolev_deficit(out_dir, space, v, q, extremal):

@@ -24,9 +24,10 @@ from .errors import (InvalidAlpha, InvalidConfig, InvalidExponent,
                      NotAProbabilityDensity, SpaceMismatch)
 from .model_space import ModelSpace, build_space
 from .sobolev import critical_exponent, extremal_field
+from .variational import INIT_AMPLITUDE, MinimizeOptions
 # critical_limit_sweep is re-exported: benchmarks/workloads.py runs the sweep
 # as cli.critical_limit_sweep
-from .variational import MinimizeOptions, critical_limit_sweep  # noqa: F401
+from .variational import critical_limit_sweep  # noqa: F401
 
 CONFIG_ERRORS = (InvalidConfig, InvalidExponent, InvalidParameter,
                  InvalidAlpha, SpaceMismatch, NonPositiveField,
@@ -122,11 +123,11 @@ def _minimizer(cfg: dict, resolution, default_resolution=512) -> dict:
     """The space, q, cosine-bump start profile and minimizer options of the
     minimizing commands."""
     space = _space(cfg, resolution, default_resolution)
-    init_spec = cfg.get("init", {"kind": "cosine_bump", "amplitude": 0.4})
+    init_spec = cfg.get("init", {})
     _check_keys(init_spec, {"kind", "amplitude"}, "init")
     if init_spec.get("kind", "cosine_bump") != "cosine_bump":
         raise InvalidConfig(f"unknown init kind {init_spec['kind']!r}")
-    amp = _number(init_spec, "amplitude", 0.4, "init")
+    amp = _number(init_spec, "amplitude", INIT_AMPLITUDE, "init")
     init = space.field(1.0 + amp * np.cos(space.grid))
     opts = MinimizeOptions(
         tol=_number(cfg, "tol", MinimizeOptions.tol, "config"),

@@ -250,13 +250,6 @@ def _condition_margin(problem: FiniteDimProblem, x, g):
     return np.sum(g * v, axis=-1)
 
 
-def condition_215_margin(problem: FiniteDimProblem, x):
-    """grad F . Hess F grad F + rho grad F . grad G at one point or each row
-    of a batch (>= 0 required)."""
-    x = np.asarray(x, dtype=float)
-    return _condition_margin(problem, x, problem.grad_F(x))
-
-
 def convexity_inequality_margin(problem: FiniteDimProblem, x):
     """|grad F(x)|^2/(2 rho) + G(x) - G(x*) at one point or each row of a
     batch; raises ``ConditionViolated`` where the condition fails."""
@@ -304,22 +297,6 @@ def _otto_grad_norm_sq(space: ModelSpace, values: np.ndarray,
     (alpha-1), of raw values: -dR_alpha/dt along w mu' = -S mu^alpha/alpha."""
     p = values ** (alpha - 1.0)  # one power: mu^alpha = p mu
     return _dirichlet_form(space, p / (alpha - 1.0), p * values) / alpha
-
-
-def renyi_entropy(space: ModelSpace, mu: ScalarField, alpha: float) -> float:
-    """R_alpha(mu) = (1/(alpha(alpha-1))) int mu^alpha dnu."""
-    _check_alpha(alpha)
-    _check_density(space, mu)
-    return float(np.dot(space.quad_weights, mu.values ** alpha)
-                 / (alpha * (alpha - 1.0)))
-
-
-def renyi_grad_norm_sq(space: ModelSpace, mu: ScalarField,
-                       alpha: float) -> float:
-    """Squared Otto norm of grad R_alpha: int Gamma(Phi) mu dnu."""
-    _check_alpha(alpha)
-    _check_density(space, mu)
-    return _otto_grad_norm_sq(space, mu.values, alpha)
 
 
 def _hessian_quadform(space: ModelSpace, mu: ScalarField, alpha: float,

@@ -231,18 +231,6 @@ def gamma2(space: ModelSpace, f: ScalarField) -> ScalarField:
     return space.field(_gamma_terms(space, f.values)[2])
 
 
-def ibp_residual(space: ModelSpace, u: ScalarField, v: ScalarField) -> float:
-    """Discrete integration-by-parts defect, a quality certificate O(h^2).
-
-    Returns max(|int (Lu) v + int Gamma(u,v)|, |int (Lu) v - int u (Lv)|).
-    """
-    _check_same_space(space, u, v)
-    lu_v = _quadrature(space, apply_L(space, u).values * v.values)
-    u_lv = _quadrature(space, u.values * apply_L(space, v).values)
-    g_uv = integrate(space, gamma(space, u, v))
-    return max(abs(lu_v + g_uv), abs(lu_v - u_lv))
-
-
 def fv_stiffness(space: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
     """Bands (main, off) of the symmetric tridiagonal Dirichlet form S of the
     face weights c: positive semidefinite, with 1^T S = 0 exactly."""

@@ -38,12 +38,13 @@ import numpy as np
 from .errors import (InvalidConfig, InvalidExponent, InvalidParameter,
                      NoConvergence, NonPositiveField, SingularMatrix)
 from .model_space import (ModelSpace, ScalarField, _check_same_space,
-                          _gamma_terms, _quadrature, apply_L, apply_stiffness,
-                          fv_stiffness, gamma, tridiagonal_solve,
+                          _gamma_terms, _quadrature, apply_stiffness,
+                          fv_stiffness, tridiagonal_solve,
                           weighted_laplacian_fv)
 from .sobolev import a_star, critical_exponent, grad_norm_sq
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
+INIT_AMPLITUDE = 0.4   # the minimizers' default start 1 + 0.4 cos(theta)
 
 
 @dataclass(frozen=True)
@@ -271,18 +272,6 @@ def pressure_transform(v: ScalarField, q: float) -> ScalarField:
     return v.space.field(v.values ** (-(q - 2.0) / 2.0))
 
 
-def pressure_pde_residual(space: ModelSpace, phi: ScalarField,
-                          d_prime: float, lam: float) -> float:
-    """sup | Phi L Phi - (d'/2) Gamma(Phi) + lambda (Phi^2 - 1) |."""
-    if phi.min() <= 0.0:
-        raise NonPositiveField("pressure field must be positive")
-    lphi = apply_L(space, phi).values
-    gphi = gamma(space, phi, phi).values
-    res = phi.values * lphi - 0.5 * d_prime * gphi \
-        + lam * (phi.values ** 2 - 1.0)
-    return float(np.abs(res).max())
-
-
 def gamma2_identity_terms(space: ModelSpace, phi: ScalarField,
                           d_prime: float, c: float) -> tuple[float, float, float]:
     """The three integrals of the Gamma_2 identity, individually."""
@@ -322,7 +311,7 @@ def rigidity_scan(space: ModelSpace, q: float, a_values,
     if not a_values or sorted(a_values) != a_values:
         raise InvalidConfig("a_values must be nonempty and sorted ascending")
     if init is None:
-        init = space.field(1.0 + 0.4 * np.cos(space.grid))
+        init = space.field(1.0 + INIT_AMPLITUDE * np.cos(space.grid))
     astar = a_star(critical_exponent(q), space.rho)
     out = []
     for A in a_values:
@@ -352,7 +341,7 @@ def critical_limit_sweep(space: ModelSpace, q_list,
         raise InvalidConfig("q_list must be nonempty and strictly ascending")
     for q in q_list:
         _check_subcritical(space, q)
-    init = space.field(1.0 + 0.4 * np.cos(space.grid))
+    init = space.field(1.0 + INIT_AMPLITUDE * np.cos(space.grid))
     table = []
     for q in q_list:
         d_prime = critical_exponent(q)

@@ -13,15 +13,16 @@ from cdsobolev.errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
                               InvalidParameter, NotAProbabilityDensity,
                               PositivityLost, StepUnstable)
 from cdsobolev.flows import (FiniteDimProblem, _rk4_step,
-                             condition_215_margin, convexity_inequality_margin,
+                             convexity_inequality_margin,
                              convexity_relation_margin, density_from_field,
                              entropy_inequality_margin, fast_diffusion_flow,
-                             fd_flow, hessian_second_derivative, renyi_entropy,
-                             renyi_grad_norm_sq, renyi_hessian_quadform)
+                             fd_flow, hessian_second_derivative,
+                             renyi_hessian_quadform)
 from cdsobolev.model_space import (apply_L, apply_stiffness, fv_stiffness, gamma,
                                    tridiagonal_solve, weighted_laplacian_fv)
 from cdsobolev.sobolev import critical_exponent, sobolev_deficit
 from cdsobolev.variational import minimize_subcritical
+from oracles import condition_215_margin, renyi_entropy, renyi_grad_norm_sq
 
 
 @pytest.fixture(scope="module")

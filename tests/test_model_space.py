@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cdsobolev import apply_L, build_space, gamma, gamma2, ibp_residual, integrate
+from cdsobolev import apply_L, build_space, gamma, gamma2, integrate
 from cdsobolev.errors import (InvalidConfig, InvalidParameter, SingularMatrix,
                               SpaceMismatch)
 from cdsobolev.flows import (density_from_field, hessian_second_derivative,
@@ -17,6 +17,7 @@ from cdsobolev.model_space import (KINDS, _check_same_space, _diff1, _diff2,
 from cdsobolev.sobolev import lq_norm, sobolev_deficit
 from cdsobolev.variational import (gamma2_identity_terms, minimize_subcritical,
                                    rigidity_scan)
+from oracles import ibp_residual
 
 
 def ones_field(space):
@@ -201,10 +202,12 @@ def test_chain_rule_defect_identity():
     assert errs[256] / errs[512] >= 3.0
 
 
-def test_self_adjointness_second_order():
+@pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
+                                      ("jacobi", 2, 4.5)])
+def test_self_adjointness_second_order(kind, d, n):
     errs = {}
     for N in (256, 512):
-        space = build_space("sphere_radial", 3, 3.0, N)
+        space = build_space(kind, d, n, N)
         u = space.field(np.cos(space.grid) + 0.3 * np.cos(2 * space.grid))
         v = space.field(1.0 + 0.5 * np.cos(space.grid))
         errs[N] = abs(ibp_residual(space, u, v))

@@ -418,13 +418,10 @@ def test_flows_have_one_time_grid_and_one_derivative_rule():
 # public library functions and classes that no src/ module uses, each with
 # why it stays; the set can only shrink
 NO_SRC_CALLER = {
-    "ibp_residual": "test oracle: the IBP residual's O(h^2) property tests",
-    "pressure_pde_residual": "test oracle: the EL-to-pressure chain",
-    "condition_215_margin": "test oracle: condition (2.15) and the batch "
-                            "margins",
-    "renyi_entropy": "test oracle: the Renyi entropy's closed forms",
-    "renyi_grad_norm_sq": "test oracle: the Otto norm's quadratic "
-                          "vanishing and its substitution",
+    "apply_L": "benchmarks/tracing.py binds it in SPANS, and Tracer.install "
+               "raises LookupError on a missing name",
+    "gamma": "benchmarks/tracing.py binds it in SPANS, and Tracer.install "
+             "raises LookupError on a missing name",
     "convexity_relation_margin": "the Sobolev-deficit flow check is to "
                                  "call it (ROADMAP item 3)",
 }
@@ -454,3 +451,38 @@ def test_every_public_library_name_has_a_src_caller():
                 if ref in public and public[ref] is not top:
                     used.add(ref)
     assert set(public) - used == set(NO_SRC_CALLER)
+
+
+def test_traced_only_names_are_bound_by_the_benchmark_tracer():
+    # apply_L and gamma stay in src/ only because the tracer wraps them; the
+    # exemption ends when benchmarks/tracing.py stops binding them
+    tree = ast.parse((PACKAGE.parents[1] / "benchmarks" / "tracing.py")
+                     .read_text(encoding="utf-8"))
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["SPANS"])
+    bound = {attr for module, attr in spans.values()
+             if module == "model_space"}
+    traced = {name for name, why in NO_SRC_CALLER.items() if "SPANS" in why}
+    assert traced == {"apply_L", "gamma"}
+    assert traced <= bound
+
+
+def test_no_library_module_defines_a_test_oracle():
+    # tests/oracles.py holds the reference computations only tests call; a
+    # copy brought back into src/ would be a second home for one formula
+    oracles = ast.parse((pathlib.Path(__file__).parent / "oracles.py")
+                        .read_text(encoding="utf-8"))
+    names = {node.name for node in oracles.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert names == {"ibp_residual", "pressure_pde_residual",
+                     "condition_215_margin", "renyi_entropy",
+                     "renyi_grad_norm_sq"}
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in names, (module, node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assert node.id not in names, (module, node.id)
+    import cdsobolev
+    assert not names & set(cdsobolev.__all__)

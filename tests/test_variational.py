@@ -10,9 +10,9 @@ from cdsobolev.model_space import (apply_L, apply_stiffness, fv_stiffness,
                                    tridiagonal_solve)
 from cdsobolev.variational import (MinimizeOptions, a_star, critical_exponent,
                                    gamma2_identity_terms,
-                                   minimize_subcritical, pressure_pde_residual,
-                                   pressure_transform, rigidity_scan,
-                                   subcritical_params)
+                                   minimize_subcritical, pressure_transform,
+                                   rigidity_scan, subcritical_params)
+from oracles import pressure_pde_residual
 
 
 @pytest.fixture(scope="module")
