@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .model_space import (ModelSpace, ScalarField, apply_L, build_space,
                           gamma, gamma2, integrate)
-from .gamma_calculus import (GammaReport, bochner_residual,
-                             cauchy_schwarz_margin, cd_margin)
+from .gamma_calculus import GammaReport, bochner_residual, cd_margin
 from .sobolev import (SobolevReport, critical_exponent, extremal_field,
                       lq_norm, sharp_constants, sobolev_deficit)
 from .variational import (MinimizeOptions, MinimizerReport, RigidityEntry,

@@ -39,13 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
-                     InvalidParameter, NotAProbabilityDensity, PositivityLost,
-                     StepUnstable)
+                     InvalidExponent, InvalidParameter, NotAProbabilityDensity,
+                     PositivityLost, StepUnstable)
 from .model_space import (ModelSpace, ScalarField, _apply_L,
                           _check_same_space, _diff1, _dirichlet_form,
                           _gamma_terms, _with_ghosts, apply_stiffness,
                           fv_stiffness, integrate, tridiagonal_solve)
-from .sobolev import grad_norm_sq
 
 MASS_TOL = 1e-8
 MAX_RECORDS = 1000       # a flow records about this many states
@@ -485,15 +484,17 @@ def entropy_inequality_margin(space: ModelSpace, mu: ScalarField) -> float:
     n = space.n
     alpha = 1.0 - 1.0 / n
     beta = 1.0 - 2.0 / n
-    f = space.field(mu.values ** (beta / 2.0))
+    f = mu.values ** (beta / 2.0)
     grad_term = (alpha / (2.0 * space.rho)) * (4.0 / beta ** 2) \
-        * grad_norm_sq(space, f)
+        * _dirichlet_form(space, f, f)
     return grad_term - _relative_renyi(space, mu.values, beta)
 
 
 def density_from_field(space: ModelSpace, f: ScalarField,
                        q: float) -> ScalarField:
     """mu = |f|^q / ||f||_q^q, the probability density carried by f."""
+    if not 1.0 <= q < math.inf:
+        raise InvalidExponent(f"q = {q} must be finite and >= 1")
     _check_same_space(space, f)
     p = np.abs(f.values) ** q
     total = float(np.dot(space.quad_weights, p))

@@ -7,7 +7,9 @@ The CD(rho, n) condition is the pointwise inequality
 checked here on every grid node.  At every real n the Gamma_2 field of
 L f = f'' + (n-1) cot(theta) f' decomposes into the squared radial Hessian
 norm plus the Ricci term; ``bochner_residual`` measures how well the
-discrete operators reproduce that decomposition.
+discrete operators reproduce that decomposition.  The trace bound
+||Hess f||^2 >= (Lf)^2/n is a square in radial form, so it is not gated
+alone; verify-cd gates the full CD margin from ``cd_margin``.
 """
 
 from __future__ import annotations
@@ -47,14 +49,6 @@ def cd_margin(space: ModelSpace, f: ScalarField) -> GammaReport:
                        cd_margin_min=float(margin.min()))
 
 
-def _radial_hessian_terms(space: ModelSpace, f: ScalarField):
-    p = _with_ghosts(f.values)
-    fp = _diff1(space, p)
-    fpp = _diff2(space, p)
-    cot = 1.0 / np.tan(space.grid)
-    return fp, fpp, cot
-
-
 def bochner_residual(space: ModelSpace, f: ScalarField) -> float:
     """Interior sup-norm of Gamma_2(f) minus its radial Bochner bracket.
 
@@ -65,19 +59,11 @@ def bochner_residual(space: ModelSpace, f: ScalarField) -> float:
     """
     _check_same_space(space, f)
     n = space.n
-    fp, fpp, cot = _radial_hessian_terms(space, f)
+    p = _with_ghosts(f.values)
+    fp = _diff1(space, p)
+    fpp = _diff2(space, p)
+    cot = 1.0 / np.tan(space.grid)
     bracket = fpp ** 2 + (n - 1.0) * (cot * fp) ** 2 + (n - 1.0) * fp ** 2
     resid = gamma2(space, f).values - bracket
-    m = INTERIOR_MARGIN
-    return float(np.abs(resid[m:-m]).max())
+    return float(np.abs(resid[INTERIOR_MARGIN:-INTERIOR_MARGIN]).max())
 
-
-def cauchy_schwarz_margin(space: ModelSpace, f: ScalarField) -> ScalarField:
-    """Pointwise ||Hess f||^2 - (L f)^2/n in radial form, at real n; >= 0
-    up to roundoff, since it equals ((n-1)/n)(f'' - cot f')^2."""
-    _check_same_space(space, f)
-    n = space.n
-    fp, fpp, cot = _radial_hessian_terms(space, f)
-    hess_sq = fpp ** 2 + (n - 1.0) * (cot * fp) ** 2
-    lap = fpp + (n - 1.0) * cot * fp
-    return space.field(hess_sq - lap ** 2 / n)

@@ -73,8 +73,8 @@ def sobolev_deficit(space: ModelSpace, v: ScalarField, q: float) -> SobolevRepor
 
 def extremal_field(space: ModelSpace, beta: float) -> ScalarField:
     """The extremal profile (beta - cos theta)^(-(n-2)/2) at any n > 2."""
-    if beta <= 1.0 + 1e-6:
-        raise InvalidParameter(f"beta = {beta} too close to the singular value 1")
+    if not 1.0 + 1e-6 < beta < np.inf:
+        raise InvalidParameter(f"beta = {beta} must be finite and > 1 + 1e-6")
     expo = -(space.n - 2.0) / 2.0
     return space.field((beta - np.cos(space.grid)) ** expo)
 

@@ -10,8 +10,9 @@ from cdsobolev import build_space, flows, integrate
 from cdsobolev.acceptance import (FINITE_DIM_DT, check_finite_dim_decay,
                                   trig_poly_field)
 from cdsobolev.errors import (ConditionViolated, InvalidAlpha, InvalidConfig,
-                              InvalidParameter, NotAProbabilityDensity,
-                              PositivityLost, StepUnstable)
+                              InvalidExponent, InvalidParameter,
+                              NotAProbabilityDensity, PositivityLost,
+                              StepUnstable)
 from cdsobolev.flows import (FiniteDimProblem, _rk4_step,
                              convexity_inequality_margin,
                              convexity_relation_margin, density_from_field,
@@ -380,6 +381,23 @@ def test_renyi_entropy_oracles(sphere):
     ref = renyi_entropy(fine, mu_fine, 2.0 / 3.0)
     assert abs(coarse - ref) <= 1e-4
     assert coarse > -4.5
+
+
+@pytest.mark.parametrize("N", [256, 4096])
+@pytest.mark.parametrize("kind,d,n", [("sphere_radial", 3, 3.0),
+                                      ("jacobi", 2, 4.5)])
+def test_relative_renyi_matches_the_oracle(kind, d, n, N):
+    # the Bregman form the flow records is the oracle's R_p(mu) - R_p(1),
+    # to roundoff on the scale of R_p(1)
+    space = build_space(kind, d, n, N)
+    ones = space.field(np.ones(N))
+    for eps in (0.5, 1e-3):
+        mu = normalized(space, 1.0 + eps * np.cos(space.grid))
+        for p in (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.5, 2.0):
+            at_one = renyi_entropy(space, ones, p)
+            ref = renyi_entropy(space, mu, p) - at_one
+            got = flows._relative_renyi(space, mu.values, p)
+            assert abs(got - ref) <= 1e-13 * abs(at_one), (eps, p)
 
 
 def test_renyi_validation(sphere):
@@ -776,3 +794,6 @@ def test_density_from_field(sphere):
     assert abs(integrate(sphere, mu) - 1.0) <= 1e-14
     with pytest.raises(InvalidParameter):
         density_from_field(sphere, sphere.field(np.zeros(256)), 6.0)
+    for q in (0.0, 0.5):  # below the range [1, inf) that lq_norm takes
+        with pytest.raises(InvalidExponent):
+            density_from_field(sphere, f, q)

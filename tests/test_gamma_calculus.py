@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from cdsobolev import (bochner_residual, build_space, cauchy_schwarz_margin,
-                       cd_margin)
+from cdsobolev import bochner_residual, build_space, cd_margin
 from cdsobolev.acceptance import trig_poly_field
 from cdsobolev.errors import InvalidConfig
 
@@ -61,25 +60,28 @@ def test_circle_rejected():
         build_space("circle", 1, 1.0, 64)
 
 
+# the six spaces of the benchmark's certification corpus
+SPACES = ([("sphere_radial", d, float(d)) for d in (3, 4, 5)]
+          + [("jacobi", 2, n) for n in (3.5, 4.5, 6.0)])
+
+
 def test_bochner_residual_second_order():
-    # the bracket is Gamma_2 of L at real n: jacobi refines like the sphere
+    # the bracket is Gamma_2 of L at real n, so every space refines at
+    # second order, for every seeded field 1 + sum_{k<=3} c_k cos(k theta)
+    for kind, d, n in SPACES:
+        for seed in range(8):
+            coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, 3)
+            errs = []
+            for N in (256, 512, 1024):
+                space = build_space(kind, d, n, N)
+                f = space.field(1.0 + sum(
+                    c * np.cos(k * space.grid)
+                    for k, c in enumerate(coeffs, start=1)))
+                errs.append(bochner_residual(space, f))
+            assert errs[0] / errs[1] >= 3.0, (kind, n, seed)
+            assert errs[1] / errs[2] >= 3.0, (kind, n, seed)
+    # and the bracket's size for a fixed mode-2 field stays pinned
     for kind, d, n in (("sphere_radial", 3, 3.0), ("jacobi", 2, 4.5)):
-        errs = {}
-        for N in (256, 512):
-            space = build_space(kind, d, n, N)
-            f = space.field(np.cos(space.grid) + 0.2 * np.cos(2 * space.grid))
-            errs[N] = bochner_residual(space, f)
-        assert errs[512] <= 1e-3, kind
-        assert errs[256] / errs[512] >= 3.0, kind
-
-
-def test_cauchy_schwarz_margin_nonnegative():
-    for kind, d, n in (("sphere_radial", 4, 4.0), ("jacobi", 2, 4.5)):
-        rng = np.random.default_rng(13)
         space = build_space(kind, d, n, 512)
-        for _ in range(10):
-            f = trig_poly_field(space, rng)
-            assert cauchy_schwarz_margin(space, f).values.min() >= -1e-3
-        # equality case: cos has proportional Hessian
-        eq = cauchy_schwarz_margin(space, space.field(np.cos(space.grid)))
-        assert np.abs(eq.values).max() <= 1e-4, kind
+        f = space.field(np.cos(space.grid) + 0.2 * np.cos(2 * space.grid))
+        assert bochner_residual(space, f) <= 1e-3, kind

@@ -8,7 +8,7 @@ from cdsobolev import (build_space, critical_exponent, extremal_field, lq_norm,
 from cdsobolev.acceptance import trig_poly_field
 from cdsobolev.errors import (InvalidAlpha, InvalidConfig, InvalidExponent,
                               InvalidParameter)
-from cdsobolev.flows import renyi_hessian_quadform
+from cdsobolev.flows import density_from_field, renyi_hessian_quadform
 from cdsobolev.model_space import apply_stiffness, fv_stiffness
 from cdsobolev.sobolev import a_star, grad_norm_sq
 from oracles import renyi_entropy, renyi_grad_norm_sq
@@ -156,9 +156,12 @@ def _density(space):
     (lambda s, x: renyi_grad_norm_sq(s, _density(s), x), InvalidAlpha),
     (lambda s, x: renyi_hessian_quadform(s, _density(s), x, _density(s)),
      InvalidAlpha),
+    (lambda s, x: extremal_field(s, x), InvalidParameter),
+    (lambda s, x: density_from_field(s, _density(s), x), InvalidExponent),
 ], ids=["sharp_constants-n", "sharp_constants-rho", "a_star-x", "a_star-rho",
         "lq_norm-q", "renyi_entropy-alpha", "renyi_grad_norm_sq-alpha",
-        "renyi_hessian_quadform-alpha"])
+        "renyi_hessian_quadform-alpha", "extremal_field-beta",
+        "density_from_field-q"])
 def test_non_finite_scalars_raise_typed_errors(call, error, bad):
     # each admissible range is a finite interval, checked before any use
     space = build_space("sphere_radial", 3, 3.0, 64)
